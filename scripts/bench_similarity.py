@@ -1,0 +1,148 @@
+#!/usr/bin/env python3
+"""Similarity-search experiment: random single-cluster pairs at 8-20 app
+components, searched unfloored and at a floor of 0.8.
+
+Half the pairs are variants (the same cluster renamed, with a few non-tree
+edges dropped, added or recoded), half are unrelated, so the floored search
+sees pairs on both sides of the floor.  Per size and floor it reports the
+median and max wall time, the median and max node expansions, how many
+searches spent the whole expansion budget, how many reached the floor, and
+the largest gap between a proven bound and the value found, over results
+whose bound reaches the floor (a result proven below the floor settles the
+question however low its value).  ``--json``
+also writes the inputs and results, with the git sha, Python version and
+CPU count, to ``BENCH_similarity.json``.
+
+    PYTHONPATH=src python3 scripts/bench_similarity.py --json
+"""
+
+import argparse
+import json
+import os
+import platform
+import random
+import statistics
+import subprocess
+import sys
+import time
+from fractions import Fraction
+
+from monet import matcher
+from monet.behavior_graph import AppComponent, BehaviorGraph, SystemComponent
+
+KINDS = ("activity", "service")
+SYSTEM = ("PackageManager", "PhoneSubInfo", "ISms", "WindowManager", "JobScheduler",
+          "ConnectivityManager", "LocationManager", "AudioManager")
+CODES = (1, 2, 3, 4)
+FLOOR = "0.8"  # the default detection threshold
+
+
+def random_cluster(rng: random.Random, n_app: int):
+    """Kinds, spanning-tree edges and extra edges of one app cluster, by index."""
+    kinds = [rng.choice(KINDS) for _ in range(n_app)]
+    tree = [(rng.randrange(i), i, rng.choice(CODES)) for i in range(1, n_app)]
+    extra = [(rng.randrange(n_app), rng.randrange(n_app), rng.choice(CODES))
+             for _ in range(n_app // 2)]
+    extra += [(rng.randrange(n_app), rng.choice(SYSTEM), rng.choice(CODES))
+              for _ in range(n_app // 2 + 1)]
+    return kinds, tree, extra
+
+
+def to_graph(prefix: str, kinds, edges) -> BehaviorGraph:
+    apps = [AppComponent(f"{prefix}.C{i}", k) for i, k in enumerate(kinds)]
+    nodes = list(apps)
+    triples = []
+    for src, dst, code in edges:
+        target = apps[dst] if isinstance(dst, int) else SystemComponent(dst)
+        nodes.append(target)
+        triples.append((apps[src], target, code))
+    return BehaviorGraph.of("runtime", nodes, triples)
+
+
+def make_pair(rng: random.Random, n_app: int):
+    kinds, tree, extra = random_cluster(rng, n_app)
+    g1 = to_graph("com.a", kinds, tree + extra)
+    if rng.random() < 0.5:
+        kinds2, tree2, extra2 = random_cluster(rng, n_app)
+        return g1, to_graph("com.b", kinds2, tree2 + extra2), "unrelated"
+    extra = list(extra)
+    for _ in range(rng.randint(1, 3)):
+        roll = rng.random()
+        if roll < 0.4 and extra:
+            extra.pop(rng.randrange(len(extra)))
+        elif roll < 0.7 and extra:
+            src, dst, _ = extra.pop(rng.randrange(len(extra)))
+            extra.append((src, dst, rng.choice(CODES)))
+        else:
+            extra.append((rng.randrange(n_app), rng.randrange(n_app), rng.choice(CODES)))
+    return g1, to_graph("com.b", kinds, tree + extra), "variant"
+
+
+def git_sha():
+    """HEAD's sha, suffixed ``-dirty`` when the work tree has uncommitted changes."""
+    try:
+        out = subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=40"],
+                             capture_output=True, text=True, check=True)
+        return out.stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return None
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--sizes", type=int, nargs="+", default=[8, 10, 12, 14, 16, 18, 20])
+    parser.add_argument("--pairs", type=int, default=6, help="pairs per size")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--json", action="store_true", help="write BENCH_similarity.json")
+    args = parser.parse_args()
+
+    floor = matcher.exact_threshold(FLOOR)
+    rows = []
+    print(f"{'apps':>4} {'floor':>5} {'median ms':>10} {'max ms':>9} {'med exp':>8} "
+          f"{'max exp':>8} {'budget':>6} {'reached':>7} {'max gap':>8}")
+    for n_app in args.sizes:
+        rng = random.Random(f"bench-similarity:{args.seed}:{n_app}")
+        pairs = [make_pair(rng, n_app) for _ in range(args.pairs)]
+        for label, fl in (("0", Fraction(0)), (FLOOR, floor)):
+            times, expansions, gaps = [], [], []
+            exhausted = reached = 0
+            for g1, g2, _ in pairs:
+                t0 = time.perf_counter()
+                score = matcher.similarity(g1, g2, fl)
+                times.append((time.perf_counter() - t0) * 1000.0)
+                expansions.append(score.expansions)
+                gaps.append(float(score.bound - score.value) if score.bound >= fl else 0.0)
+                exhausted += not score.exact and score.bound >= fl
+                reached += score.value >= fl
+            row = {
+                "app_components": n_app, "floor": label, "pairs": len(pairs),
+                "variants": sum(1 for *_, kind in pairs if kind == "variant"),
+                "median_ms": statistics.median(times), "max_ms": max(times),
+                "median_expansions": statistics.median(expansions),
+                "max_expansions": max(expansions), "budget_exhausted": exhausted,
+                "reached_floor": reached, "max_bound_gap": max(gaps),
+            }
+            rows.append(row)
+            print(f"{n_app:>4} {label:>5} {row['median_ms']:>10.1f} {row['max_ms']:>9.1f} "
+                  f"{row['median_expansions']:>8.0f} {row['max_expansions']:>8} "
+                  f"{exhausted:>6} {reached:>7} {row['max_bound_gap']:>8.3f}")
+
+    if args.json:
+        record = {
+            "git_sha": git_sha(),
+            "python": platform.python_version(),
+            "nproc": os.cpu_count(),
+            "inputs": {"sizes": args.sizes, "pairs_per_size": args.pairs, "floor": FLOOR,
+                       "seed": args.seed, "kinds": list(KINDS),
+                       "search_budget": matcher.SEARCH_BUDGET},
+            "results": rows,
+        }
+        with open("BENCH_similarity.json", "w") as fh:
+            json.dump(record, fh, indent=2)
+            fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

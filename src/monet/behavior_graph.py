@@ -332,6 +332,27 @@ def complete_rbg(sbg: BehaviorGraph, trace, pkg: AppPackage) -> BehaviorGraph:
 # ---------------------------------------------------------------------------
 
 
+def app_clusters(g: BehaviorGraph) -> list[set[str]]:
+    """The weakly connected app-component clusters of ``g``, with system-side
+    nodes removed, as sets of node ids."""
+    parent = {nid: nid for nid in g.nodes if nid.startswith("app:")}
+
+    def find(x: str) -> str:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for src, dst, _ in g.edges:
+        if src in parent and dst in parent:
+            parent[find(src)] = find(dst)
+
+    clusters: dict[str, set[str]] = {}
+    for nid in parent:
+        clusters.setdefault(find(nid), set()).add(nid)
+    return list(clusters.values())
+
+
 def decouple(rbg: BehaviorGraph) -> list[BehaviorGraph]:
     """Split a (possibly repackaged) graph into per-cluster graphs.
 
@@ -342,28 +363,8 @@ def decouple(rbg: BehaviorGraph) -> list[BehaviorGraph]:
     """
     if rbg.origin != "runtime":
         raise ValueError("decouple expects a runtime graph")
-    app_ids = [nid for nid in rbg.nodes if nid.startswith("app:")]
-    if not app_ids:
-        return []
-
-    parent = {nid: nid for nid in app_ids}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for src, dst, _ in rbg.edges:
-        if src.startswith("app:") and dst.startswith("app:"):
-            parent[find(src)] = find(dst)
-
-    clusters: dict[str, set[str]] = {}
-    for nid in app_ids:
-        clusters.setdefault(find(nid), set()).add(nid)
-
     out: list[BehaviorGraph] = []
-    for members in clusters.values():
+    for members in app_clusters(rbg):
         nodes = {nid: rbg.nodes[nid] for nid in members}
         edges: dict[EdgeKey, str | None] = {}
         for (src, dst, code), content in rbg.edges.items():

@@ -110,7 +110,10 @@ def _cmd_sim(args) -> int:
     g1 = graph_from_json(_read(args.graph1))
     g2 = graph_from_json(_read(args.graph2))
     score = similarity(g1, g2)
-    print(f"{float(score.value):.4f} exact={'true' if score.exact else 'false'}")
+    if score.exact:
+        print(f"{float(score.value):.4f} exact=true")
+    else:
+        print(f"{float(score.value):.4f} exact=false bound={float(score.bound):.4f}")
     return EXIT_OK
 
 

@@ -668,7 +668,8 @@ def apply_transform(template: FamilyTemplate, op: TransformOp, seed: int = 0):
 def generate_benign(seed: int, size: SizeParams, base_graphs,
                     max_attempts: int = 25):
     """A clean single-cluster app; regenerates until structurally far from
-    every family base.  Returns (pkg, trace, max_base_score, rejections)."""
+    every family base.  Returns (pkg, trace, max_base_score, rejections);
+    the score is an upper bound where a search ran out of budget."""
     rejections = 0
     for attempt in range(max_attempts):
         rng = random.Random(f"benign:{seed}:{attempt}")
@@ -687,9 +688,10 @@ def generate_benign(seed: int, size: SizeParams, base_graphs,
             for base in base_graphs:
                 if upper_bound_value(g, base) <= worst:
                     continue
-                value = similarity(g, base).value
-                if value > worst:
-                    worst = value
+                # The bound is the exact score when the search reaches the
+                # floor, lies below the floor when not, and errs high when the
+                # search runs out of budget.
+                worst = max(worst, similarity(g, base, worst).bound)
         if worst < BENIGN_REJECT_SCORE:
             return pkg, trace, worst, rejections
         rejections += 1

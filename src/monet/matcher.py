@@ -19,20 +19,31 @@ system-side labels are unique within a graph, system and action nodes are
 pre-matched by label; the remaining search maximizes matched edges over
 injective app-component mappings.
 
+The search is one branch and bound.  A caller that needs only some score
+passes it as ``floor``, and subtrees whose bound cannot reach it are pruned,
+so unrelated pairs are rejected without finding their maximum.  A search
+stops after ``SEARCH_BUDGET`` node expansions, and a result cut short says so
+(``exact=False``) and carries a proven upper ``bound``.
+
 Scores are exact rationals so that threshold comparisons and the published
 worked example hold with zero tolerance.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .behavior_graph import BehaviorGraph, decouple
+from .behavior_graph import BehaviorGraph, app_clusters, decouple
 from .trace import Sss
 
-EXACT_CUTOFF = 12  # exhaustive search up to this many app components
-BEAM_WIDTH = 8
+# Node expansions one similarity search may make before it returns its best
+# mapping so far with a proven bound.  No search in the tests or benchmark
+# workloads needs more than a few hundred, nor benign generation against
+# 9-11-component families more than about 3000.
+SEARCH_BUDGET = 100_000
 
 MODES = ("sss_only", "rbg_only", "combined")
 
@@ -45,10 +56,18 @@ class NotDecoupled(Exception):
 
 @dataclass(frozen=True)
 class SimilarityScore:
+    """The best mapping found and a proven ``bound`` on the true maximum."""
+
     value: Fraction
     matched_vertices: int
     matched_edges: int
     exact: bool
+    bound: Fraction
+    expansions: int
+
+
+class _Exhausted(Exception):
+    """The search spent its expansion budget."""
 
 
 def exact_threshold(threshold) -> Fraction:
@@ -68,15 +87,12 @@ class _Profile:
     """Per-graph precomputation shared by similarity and its cheap bound."""
 
     __slots__ = ("app_ids", "kind_of", "kind_counts", "sys_ids", "out", "in_", "n_nodes",
-                 "n_edges", "code_counts", "degree", "canon")
+                 "n_edges", "code_counts", "degree", "canon", "clusters")
 
     def __init__(self, g: BehaviorGraph):
         self.app_ids = sorted(nid for nid in g.nodes if nid.startswith("app:"))
         self.kind_of = {nid: g.nodes[nid].kind for nid in self.app_ids}  # type: ignore[union-attr]
-        self.kind_counts: dict[str | None, int] = {}
-        for nid in self.app_ids:
-            k = self.kind_of[nid]
-            self.kind_counts[k] = self.kind_counts.get(k, 0) + 1
+        self.kind_counts = Counter(self.kind_of.values())
         self.sys_ids = frozenset(nid for nid in g.nodes if not nid.startswith("app:"))
         out: dict[str, dict[str, set[int]]] = {}
         in_: dict[str, dict[str, set[int]]] = {}
@@ -94,24 +110,11 @@ class _Profile:
         self.n_edges = len(g.edges)
         self.code_counts = code_counts
         self.degree = degree
-        # Orientation key: keeps similarity symmetric even on the beam path.
-        self.canon = (tuple(sorted(g.nodes)), tuple(sorted(g.edges)))
-
-    def app_cluster_count(self) -> int:
-        parent = {nid: nid for nid in self.app_ids}
-
-        def find(x: str) -> str:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for src, targets in self.out.items():
-            if src in parent:
-                for dst in targets:
-                    if dst in parent:
-                        parent[find(src)] = find(dst)
-        return len({find(nid) for nid in self.app_ids})
+        # Orientation key: keeps similarity symmetric even when a search is
+        # cut short by its budget.
+        self.canon = (tuple(sorted(g.nodes)), tuple(sorted(g.edges)),
+                      tuple(self.kind_of[nid] or "" for nid in self.app_ids))
+        self.clusters: int | None = None  # counted when the graph is first searched
 
 
 def _profile(g: BehaviorGraph) -> _Profile:
@@ -129,153 +132,150 @@ def upper_bound_value(g1: BehaviorGraph, g2: BehaviorGraph) -> Fraction:
     mv = len(p1.sys_ids & p2.sys_ids)
     kinds = set(p1.kind_counts) | set(p2.kind_counts)
     mv += sum(min(p1.kind_counts.get(k, 0), p2.kind_counts.get(k, 0)) for k in kinds)
-    me = sum(
-        min(n, p2.code_counts.get(code, 0)) for code, n in p1.code_counts.items()
-    )
+    me = sum(min(n, p2.code_counts.get(code, 0)) for code, n in p1.code_counts.items())
     # value = 1 - min_ops/total and min_ops = total - 2*(Mv + Me)
     return Fraction(2 * (mv + me), total)
 
 
-def _pair_gain(mapping: dict[str, str], x: str, y: str, p1: _Profile, p2: _Profile) -> int:
-    gain = 0
-    out2_y = p2.out.get(y, {})
-    for u, codes in p1.out.get(x, {}).items():
-        w = mapping.get(u)
-        if w is not None:
-            gain += len(codes & out2_y.get(w, _EMPTY))
-    in2_y = p2.in_.get(y, {})
-    for u, codes in p1.in_.get(x, {}).items():
-        if u == x:
-            continue  # self-loop already counted through out
-        w = mapping.get(u)
-        if w is not None:
-            gain += len(codes & in2_y.get(w, _EMPTY))
-    return gain
-
-
-def _search_exact(order: list[str], p1: _Profile, p2: _Profile, mapping: dict[str, str]) -> tuple[int, int]:
-    """Branch and bound over injective kind-compatible app mappings.
-
-    Returns (mapped_pairs, matched_edges) maximizing pairs + edges.  ``mapping``
-    arrives pre-seeded with the system-node identity matches.
-    """
+def _search(p1: _Profile, p2: _Profile, mapping: dict[str, str],
+            need: int) -> tuple[int, int, int, bool, int]:
+    """Branch and bound over injective kind-compatible app mappings, seeded
+    with the system identity matches in ``mapping``, that prunes what cannot
+    beat both the incumbent and ``need - 1`` pairs + edges.  Returns (pairs,
+    edges) of the best mapping found, a proven upper bound on pairs + edges,
+    whether the search finished within the budget, and its expansions."""
+    order = sorted(p1.app_ids, key=lambda i: (-p1.degree[i], i))
     n = len(order)
+    pos = {nid: i for i, nid in enumerate(order)}
+    # An edge unit is decided at the step placing its last app endpoint;
+    # units into a system node absent from g2 can never match.
+    units: list[list[tuple[str, str, int]]] = [[] for _ in order]
+    for src, targets in p1.out.items():
+        for dst, codes in targets.items():
+            if dst in pos or dst in mapping:
+                units[max(pos[src], pos.get(dst, -1))].extend((src, dst, c) for c in codes)
     candidates_by_kind: dict[str | None, list[str]] = {}
     for nid in sorted(p2.app_ids, key=lambda i: (-p2.degree[i], i)):
         candidates_by_kind.setdefault(p2.kind_of[nid], []).append(nid)
+    # (outgoing?, code) counts of each g2 app node's edges to other app nodes
+    app_codes = {y: Counter((out, c) for out, adj in ((True, p2.out), (False, p2.in_))
+                            for u, codes in adj.get(y, {}).items()
+                            if u != y and u.startswith("app:") for c in codes)
+                 for y in p2.app_ids}
 
-    # Suffix bounds: vertices per kind still to come, and edge units incident
-    # to any not-yet-decided node (admissible: skips only remove options).
+    # Suffix bounds: vertices per kind still to come, and the most edge units
+    # the remaining steps can gain.  Under x -> y a unit into a system node,
+    # or a self-loop, matches only if y has the same edge; units between x and
+    # other app nodes are capped per direction and code by y's app edges.
     suffix_kinds: list[dict[str | None, int]] = [dict() for _ in range(n + 1)]
+    suffix_cap = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
-        d = dict(suffix_kinds[i + 1])
-        k = p1.kind_of[order[i]]
-        d[k] = d.get(k, 0) + 1
-        suffix_kinds[i] = d
-    # An edge unit is counted into me at the step deciding its last app
-    # endpoint; units touching an unmatched system node can never match.
-    pos = {nid: i for i, nid in enumerate(order)}
-    suffix_units = [0] * (n + 1)
-    unit_latest: list[int] = []
-    for src, targets in p1.out.items():
-        for dst, codes in targets.items():
-            if dst not in pos and dst not in mapping:
-                continue
-            ends = [pos[e] for e in (src, dst) if e in pos]
-            if ends:
-                unit_latest.extend([max(ends)] * len(codes))
-    for i in range(n - 1, -1, -1):
-        suffix_units[i] = suffix_units[i + 1] + sum(1 for m in unit_latest if m == i)
+        x = order[i]
+        k = p1.kind_of[x]
+        suffix_kinds[i] = {**suffix_kinds[i + 1], k: suffix_kinds[i + 1].get(k, 0) + 1}
+        fixed = [(d, c) for s, d, c in units[i] if d not in pos or s == d]
+        wanted = Counter((s == x, c) for s, d, c in units[i] if d in pos and s != d)
+        suffix_cap[i] = suffix_cap[i + 1] + max(
+            (sum(1 for d, c in fixed if c in p2.out.get(y, {}).get(y if d == x else d, _EMPTY))
+             + sum(min(m, app_codes[y][key]) for key, m in wanted.items())
+             for y in candidates_by_kind.get(k, ())), default=0)
 
-    best_score = -1
-    best_pair = (0, 0)
+    best = (0, 0)  # leaving every app node unmatched is always a mapping
+    cut = max(0, need - 1)
+    expansions = 0
+    open_bounds: list[int] = []  # per open frame: bound on its untried children
     used: set[str] = set()
     avail = {k: len(v) for k, v in candidates_by_kind.items()}
+    # Matching a node never unmatches an edge, so g1 nodes of a kind need to
+    # stay unmatched only as far as that kind outnumbers its g2 nodes.
+    spare = {k: cnt - avail.get(k, 0) for k, cnt in p1.kind_counts.items()}
     cap_e = min(p1.n_edges, p2.n_edges)
 
-    def rem_v(i: int) -> int:
-        return sum(min(cnt, avail.get(k, 0)) for k, cnt in suffix_kinds[i].items())
+    def bound_at(i: int, mv: int, me: int) -> int:
+        rem_v = sum(min(cnt, avail.get(k, 0)) for k, cnt in suffix_kinds[i].items())
+        return mv + me + rem_v + min(suffix_cap[i], cap_e - me)
+
+    def gain(i: int) -> int:
+        return sum(1 for s, d, c in units[i]
+                   if c in p2.out.get(mapping.get(s), {}).get(mapping.get(d), _EMPTY))
 
     def rec(i: int, mv: int, me: int) -> None:
-        nonlocal best_score, best_pair
-        if i == n:
-            if mv + me > best_score:
-                best_score = mv + me
-                best_pair = (mv, me)
+        nonlocal best, cut, expansions
+        ub = bound_at(i, mv, me)
+        if ub <= cut:
             return
-        if mv + me + rem_v(i) + min(suffix_units[i], cap_e - me) <= best_score:
+        if i == n:  # a leaf's bound is its own pairs + edges
+            best, cut = (mv, me), ub
             return
+        open_bounds.append(ub)
+        expansions += 1
+        if expansions > SEARCH_BUDGET:
+            raise _Exhausted
         x = order[i]
         kind = p1.kind_of[x]
+        children = []  # tried best gain first, so the incumbent rises early
         for y in candidates_by_kind.get(kind, ()):
-            if y in used:
-                continue
+            if y not in used:
+                mapping[x] = y
+                children.append((gain(i), y))
+        mapping.pop(x, None)
+        children.sort(key=lambda child: -child[0])
+        for g, y in children:
             mapping[x] = y
             used.add(y)
             avail[kind] -= 1
-            rec(i + 1, mv + 1, me + _pair_gain(mapping, x, y, p1, p2))
+            rec(i + 1, mv + 1, me + g)
             avail[kind] += 1
             used.discard(y)
             del mapping[x]
-        rec(i + 1, mv, me)  # leave x unmatched
+        open_bounds[-1] = -1  # only the skip child is left, and it opens its own frame
+        if spare[kind] > 0:  # leave x unmatched
+            spare[kind] -= 1
+            rec(i + 1, mv, me)
+            spare[kind] += 1
+        open_bounds.pop()
 
-    rec(0, 0, 0)
-    return best_pair
-
-
-def _search_beam(order: list[str], p1: _Profile, p2: _Profile, seed: dict[str, str]) -> tuple[int, int]:
-    """Deterministic greedy beam used beyond the exact cutoff."""
-    states: list[tuple[int, int, dict[str, str], frozenset[str]]] = [(0, 0, seed, frozenset())]
-    for x in order:
-        kind = p1.kind_of[x]
-        expansions: list[tuple[int, int, dict[str, str], frozenset[str]]] = []
-        for mv, me, mapping, used in states:
-            expansions.append((mv, me, mapping, used))  # skip x
-            for y in sorted(p2.app_ids):
-                if y in used or p2.kind_of[y] != kind:
-                    continue
-                new_mapping = dict(mapping)
-                new_mapping[x] = y
-                gain = _pair_gain(new_mapping, x, y, p1, p2)
-                expansions.append((mv + 1, me + gain, new_mapping, used | {y}))
-        expansions.sort(key=lambda s: (-(s[0] + s[1]), sorted(s[2].items())))
-        states = expansions[:BEAM_WIDTH]
-    mv, me, _, _ = max(states, key=lambda s: s[0] + s[1])
-    return mv, me
+    root = bound_at(0, 0, 0)
+    try:
+        rec(0, 0, 0)
+        complete = True
+    except _Exhausted:
+        complete = False
+    del rec  # a cycle through its own closure: break it so the tables free on return
+    # Finished subtrees hold nothing above ``cut``, unfinished ones nothing
+    # above their frame's bound, and no mapping beats the root bound.
+    return best[0], best[1], min(root, max([cut, *open_bounds])), complete, expansions
 
 
-def similarity(g1: BehaviorGraph, g2: BehaviorGraph) -> SimilarityScore:
+def similarity(g1: BehaviorGraph, g2: BehaviorGraph, floor=0) -> SimilarityScore:
     """Edit-distance similarity between two decoupled graphs.
 
-    Exhaustive (``exact=True``) when the smaller side has at most
-    ``EXACT_CUTOFF`` app components, otherwise a width-``BEAM_WIDTH``
-    deterministic beam.  Symmetric in its arguments.
+    ``floor`` is the score the caller needs.  When the true maximum reaches it
+    the result is that maximum, ``exact=True`` and ``bound == value``.
+    Otherwise ``exact=False`` and ``value <= true maximum <= bound < floor``,
+    unless the search spent ``SEARCH_BUDGET`` first: then ``bound`` may reach
+    the floor.  Symmetric in its arguments.
     """
     p1, p2 = _profile(g1), _profile(g2)
     for g, p in ((g1, p1), (g2, p2)):
-        if p.app_cluster_count() > 1:
-            raise NotDecoupled(f"graph with {p.app_cluster_count()} app clusters: {g!r}")
+        if p.clusters is None:
+            p.clusters = len(app_clusters(g))
+        if p.clusters > 1:
+            raise NotDecoupled(f"graph with {p.clusters} app clusters: {g!r}")
 
-    if len(p1.app_ids) > len(p2.app_ids) or (
-        len(p1.app_ids) == len(p2.app_ids) and p1.canon > p2.canon
-    ):
+    if (len(p1.app_ids), p1.canon) > (len(p2.app_ids), p2.canon):
         p1, p2 = p2, p1
 
     common_sys = p1.sys_ids & p2.sys_ids
-    mapping = {nid: nid for nid in common_sys}
-
-    order = sorted(p1.app_ids, key=lambda i: (-p1.degree[i], i))
-    exact = len(p1.app_ids) <= EXACT_CUTOFF
-    if exact:
-        mv_app, me = _search_exact(order, p1, p2, mapping)
-    else:
-        mv_app, me = _search_beam(order, p1, p2, mapping)
-
-    mv = len(common_sys) + mv_app
     total = p1.n_nodes + p2.n_nodes + p1.n_edges + p2.n_edges
-    min_ops = (p1.n_nodes - mv) + (p2.n_nodes - mv) + (p1.n_edges - me) + (p2.n_edges - me)
-    value = Fraction(total - min_ops, total) if total else Fraction(1)
-    return SimilarityScore(value=value, matched_vertices=mv, matched_edges=me, exact=exact)
+    # value = 2 * (Mv + Me) / total, so reaching the floor takes this many units
+    need = math.ceil(exact_threshold(floor) * total / 2) - len(common_sys)
+    pairs, me, bound, complete, expansions = _search(
+        p1, p2, {nid: nid for nid in common_sys}, need)
+    value, bound_value = (Fraction(2 * (len(common_sys) + units), total) if total else Fraction(1)
+                          for units in (pairs + me, bound))
+    return SimilarityScore(value, len(common_sys) + pairs, me,
+                           complete and pairs + me >= need, bound_value, expansions)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +309,7 @@ def match_rbg(suspect, store, threshold=Fraction(4, 5), alpha: int = 5):
             ub = upper_bound_value(g, cand)
             if ub < th or (best is not None and ub <= best[1].value):
                 continue
-            score = similarity(g, cand)
+            score = similarity(g, cand, th if best is None else best[1].value)
             if score.value >= th and (best is None or score.value > best[1].value):
                 best = (ref.family_id, score)
     return best

@@ -190,6 +190,9 @@ class _Handler(BaseHTTPRequestHandler):
 
 class DetectionServer(ThreadingHTTPServer):
     daemon_threads = True
+    # socketserver's default listen backlog of 5 resets connections when a
+    # burst of clients arrives before the accept loop catches up.
+    request_queue_size = 128
 
     def __init__(self, address: tuple[str, int], service: DetectionService):
         super().__init__(address, _Handler)

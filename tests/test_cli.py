@@ -75,6 +75,21 @@ def test_worked_example_prints_0_9167(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("0.9167 ")
 
 
+def test_sim_prints_bound_when_search_is_cut_short(tmp_path, capsys, monkeypatch):
+    from monet import matcher
+    from test_matcher import worked_example_pair
+
+    g1, g2 = worked_example_pair()
+    p1, p2 = tmp_path / "g1.json", tmp_path / "g2.json"
+    p1.write_text(graph_to_json(g1))
+    p2.write_text(graph_to_json(g2))
+    monkeypatch.setattr(matcher, "SEARCH_BUDGET", 0)
+    assert main(["sim", str(p1), str(p2)]) == 0
+    value, exact, bound = capsys.readouterr().out.split()
+    assert exact == "exact=false"
+    assert float(value) <= 0.9167 <= float(bound.removeprefix("bound="))
+
+
 def test_decouple_writes_cluster_files(workdir, tmp_path):
     t = generate_family(42)
     rbg_file = tmp_path / "full.json"

@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from monet import matcher
 from monet.behavior_graph import AppComponent, BehaviorGraph, SystemComponent
 from monet.matcher import (
     NotDecoupled,
@@ -124,8 +127,9 @@ def test_upper_bound_dominates_true_value():
         assert upper_bound_value(g1, g2) >= similarity(g1, g2).value
 
 
-def test_beam_kicks_in_beyond_cutoff():
-    # 13 app components on each side: past the exhaustive cutoff.
+def test_thirteen_component_chains_score_exactly_one():
+    # 13 app components on each side, a size the search once handed to a
+    # heuristic; isomorphic chains must now score exactly 1.
     kinds = ["activity", "service", "receiver"]
     apps1 = [AppComponent(f"com.big.C{i}", kinds[i % 3]) for i in range(13)]
     apps2 = [AppComponent(f"com.big.D{i}", kinds[i % 3]) for i in range(13)]
@@ -134,12 +138,48 @@ def test_beam_kicks_in_beyond_cutoff():
     g1 = BehaviorGraph.of("runtime", apps1, edges1)
     g2 = BehaviorGraph.of("runtime", apps2, edges2)
     s = similarity(g1, g2)
-    assert not s.exact
-    assert 0 <= s.value <= 1
-    # deterministic and symmetric even on the heuristic path
-    assert similarity(g1, g2).value == s.value
-    assert similarity(g2, g1).value == s.value
+    assert s.exact
+    assert s.value == s.bound == 1
+    # deterministic and symmetric
+    assert similarity(g1, g2) == s
+    assert similarity(g2, g1) == s
     assert similarity(g1, g1).value == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32), st.fractions(0, 1, max_denominator=40))
+def test_floor_decides_reach_against_brute_force(seed, floor):
+    rng = random.Random(seed)
+    g1 = random_cluster_graph(rng)
+    g2 = perturb_graph(rng, g1) if rng.random() < 0.5 else random_cluster_graph(rng)
+    _, _, best = brute_force_best(g1, g2)
+    s = similarity(g1, g2, floor)
+    assert similarity(g2, g1, floor) == s
+    assert s.value <= best <= s.bound
+    if best >= floor:
+        assert s.exact and s.value == s.bound == best
+    else:
+        assert not s.exact and s.value < floor and s.bound < floor
+
+
+def test_exhausted_budget_reports_incumbent_and_bound(monkeypatch):
+    rng = random.Random(77)
+    cut_short = 0
+    for _ in range(60):
+        g1, g2 = random_cluster_graph(rng), random_cluster_graph(rng)
+        full = similarity(g1, g2)
+        monkeypatch.setattr(matcher, "SEARCH_BUDGET", 2)
+        s = similarity(g1, g2)
+        monkeypatch.undo()
+        if full.expansions <= 2:
+            assert s == full
+            continue
+        cut_short += 1
+        _, _, best = brute_force_best(g1, g2)
+        assert not s.exact
+        assert s.value <= best <= s.bound
+        assert similarity(g2, g1) == full
+    assert cut_short >= 20
 
 
 def test_exact_threshold_handles_decimal_text():
@@ -209,6 +249,28 @@ def test_variant_with_junk_component_and_extra_edges_hand_computed():
     assert hit is not None and hit[0] == "famA"
     assert hit[1].value == Fraction(8, 9)
     assert match_rbg([variant], store, 0.9) is None  # below a stricter threshold
+
+
+def test_match_rbg_agrees_with_unfloored_scan_of_the_window():
+    rng = random.Random(31)
+    for trial in range(40):
+        pool = [random_cluster_graph(rng) for _ in range(4)]
+        families = [(f"fam{i}", [g, perturb_graph(rng, g)]) for i, g in enumerate(pool)]
+        store = _store_with(*families)
+        suspect = [perturb_graph(rng, rng.choice(pool)), random_cluster_graph(rng)]
+        th = rng.choice((Fraction(1, 2), Fraction(7, 10), Fraction(4, 5)))
+        alpha = rng.choice((1, 5))
+        want = None
+        for g in suspect:
+            for ref in sorted(store.range_candidates(g.app_count, alpha),
+                              key=lambda r: (r.family_id, r.ordinal)):
+                value = brute_force_best(g, store.graph(ref))[2]
+                if value >= th and (want is None or value > want[1]):
+                    want = (ref.family_id, value)
+        hit = match_rbg(suspect, store, th, alpha)
+        got = None if hit is None else (hit[0], hit[1].value)
+        assert got == want, f"trial {trial}"
+        assert hit is None or hit[1].exact
 
 
 def test_match_sss_intersection():
