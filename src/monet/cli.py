@@ -24,7 +24,15 @@ from .behavior_graph import (
     build_sbg,
 )
 from .dataflow import build_cfg, cfg_to_json, defsets_to_json, reaching_definitions
-from .matcher import NotDecoupled, RuntimeBehaviorSignature, decide, similarity
+from .matcher import (
+    DEFAULT_ALPHA,
+    DEFAULT_THRESHOLD,
+    MODES,
+    NotDecoupled,
+    RuntimeBehaviorSignature,
+    decide,
+    similarity,
+)
 from .pipeline import intent_calls, runtime_graph
 from .sigstore import (
     FamilySignature,
@@ -217,24 +225,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rbg", required=True)
     p.add_argument("--sss")
     p.add_argument("--app", default="suspect")
-    p.add_argument("--mode", choices=("sss_only", "rbg_only", "combined"), default="combined")
-    p.add_argument("--threshold", type=float, default=0.8)
-    p.add_argument("--alpha", type=int, default=5)
+    p.add_argument("--mode", choices=MODES, default="combined")
+    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
+    p.add_argument("--alpha", type=int, default=DEFAULT_ALPHA)
     p.set_defaults(fn=_cmd_match)
 
     p = sub.add_parser("serve", help="run the detection server")
     p.add_argument("--store", help="store directory (MONET_STORE overrides)")
     p.add_argument("--listen", default="127.0.0.1:8743")
-    p.add_argument("--threshold", type=float, default=0.8)
-    p.add_argument("--alpha", type=int, default=5)
+    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
+    p.add_argument("--alpha", type=int, default=DEFAULT_ALPHA)
     p.set_defaults(fn=_cmd_serve)
 
     p = sub.add_parser("eval", help="synthetic transformation-resilience evaluation")
     p.add_argument("--families", type=int, default=10)
     p.add_argument("--variants", type=int, default=12)
     p.add_argument("--benign", type=int, default=100)
-    p.add_argument("--threshold", type=float, default=0.8)
-    p.add_argument("--alpha", type=int, default=5)
+    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
+    p.add_argument("--alpha", type=int, default=DEFAULT_ALPHA)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--verify-pruning", action="store_true")
     p.add_argument("-o", "--output", help="write the JSON report here")

@@ -27,8 +27,10 @@ from __future__ import annotations
 
 import logging
 import random
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import count
 
 from .app_model import (
     AppPackage,
@@ -45,8 +47,17 @@ from .app_model import (
     nop,
     validate_package,
 )
-from .behavior_graph import BehaviorGraph, decouple
-from .matcher import MODES, exact_threshold, match_rbg, match_sss, similarity, upper_bound_value
+from .behavior_graph import STATIC_CODES, BehaviorGraph, decouple
+from .matcher import (
+    DEFAULT_ALPHA,
+    DEFAULT_THRESHOLD,
+    MODES,
+    exact_threshold,
+    match_rbg,
+    match_sss,
+    similarity,
+    upper_bound_value,
+)
 from .pipeline import runtime_graph, signature_of
 from .sigstore import FamilySignature, empty_store, insert_signature, merge_blacklist
 from .trace import BinderRecord, SyscallRecord, TraceLog
@@ -99,6 +110,7 @@ _RCV_STEMS = ["Boot", "Sms", "Alarm", "Link", "Pkg"]
 _CALL_FOR_KIND = {"activity": "start_activity", "service": "start_service", "receiver": "send_broadcast"}
 
 BENIGN_REJECT_SCORE = Fraction(3, 5)
+BENIGN_ATTEMPTS = 25
 
 
 class InapplicableTransform(Exception):
@@ -125,11 +137,9 @@ class FamilyTemplate:
 
 @dataclass(frozen=True)
 class TransformOp:
-    """One of the twelve operators; ``param`` is the op-specific strength
-    (junk component count for 7, swap/nop counts for 6 and 8)."""
+    """One of the twelve operators, by its number in :data:`TRANSFORM_NAMES`."""
 
     op_id: int
-    param: int = 2
 
     def __post_init__(self):
         if self.op_id not in TRANSFORM_NAMES:
@@ -255,7 +265,7 @@ def _assemble_trace(rng: random.Random, app_name: str, clusters: list[_Cluster],
             events.append({
                 "caller": src,
                 "target": ("component", dst),
-                "code": {"start_activity": 3, "start_service": 5, "send_broadcast": 14}[call],
+                "code": STATIC_CODES[call],
                 "content": f"start {kinds[dst]}",
             })
         for src, action in cluster.implicit:
@@ -281,15 +291,19 @@ def _cluster_graph(graphs: list[BehaviorGraph], members: frozenset[str]) -> Beha
     raise AssertionError("designated cluster not found in decoupled graphs")
 
 
+def _app_degrees(g: BehaviorGraph) -> dict[str, int]:
+    """Edge endpoints at each app node of ``g``, keyed by component name."""
+    degree = {c.name: 0 for c in g.app_components()}
+    for src, dst, _ in g.edges:
+        for nid in (src, dst):
+            if nid.startswith("app:"):
+                degree[nid[4:]] += 1
+    return degree
+
+
 def _resilience_gap(g: BehaviorGraph) -> tuple[int, int]:
     """(edit ops for losing the min-degree app node, total op budget)."""
-    degree: dict[str, int] = {nid: 0 for nid in g.nodes if nid.startswith("app:")}
-    for src, dst, _ in g.edges:
-        if src in degree:
-            degree[src] += 1
-        if dst in degree:
-            degree[dst] += 1
-    min_deg = min(degree.values())
+    min_deg = min(_app_degrees(g).values())
     total = 2 * (len(g.nodes) + len(g.edges))
     return 2 + 2 * min_deg, total
 
@@ -345,11 +359,8 @@ def generate_family(seed: int, size: SizeParams = SizeParams()) -> FamilyTemplat
             break
         # Widen the cluster without touching its thinnest component: hang one
         # more service call off the busiest component and rebuild.
-        degree: dict[str, int] = {}
-        for src, dst, _ in mal_graph.edges:
-            if src.startswith("app:"):
-                degree[src[4:]] = degree.get(src[4:], 0) + 1
-        busiest = max(sorted(degree), key=lambda n: degree[n])
+        out_degree = Counter(src[4:] for src, _, _ in mal_graph.edges if src.startswith("app:"))
+        busiest = max(sorted(out_degree), key=lambda n: out_degree[n])
         mal.services.append((busiest, f"AuxRegistry{aux}", 50 + aux, "register"))
         aux += 1
 
@@ -384,29 +395,41 @@ def family_blacklist(template: FamilyTemplate) -> tuple[list[str], list[str]]:
 # ---------------------------------------------------------------------------
 
 
-def _rewrite_instructions(pkg: AppPackage, fn) -> AppPackage:
-    """Apply fn(component, method, block, index, instr) -> instr to every instruction."""
-    methods: dict[str, tuple[MethodIR, ...]] = {}
-    for comp_name, comp_methods in pkg.methods.items():
-        new_methods = []
-        for m in comp_methods:
-            blocks = []
-            for bid, instrs in m.blocks:
-                blocks.append((bid, tuple(
-                    fn(comp_name, m, bid, idx, instr) for idx, instr in enumerate(instrs)
-                )))
-            new_methods.append(MethodIR(m.name, tuple(blocks), m.edges, m.entry))
-        methods[comp_name] = tuple(new_methods)
+def _map_methods(pkg: AppPackage, fn) -> AppPackage:
+    """The one package walk: rebuild ``pkg`` with fn(method) -> method."""
+    methods = {comp: tuple(fn(m) for m in ms) for comp, ms in pkg.methods.items()}
     return AppPackage(pkg.package_name, pkg.components, methods)
 
 
-def _intent_fed_vars(method: MethodIR, ctor_op: str, operand: int | None = None) -> set[str]:
-    fed: set[str] = set()
-    for _, instrs in method.blocks:
-        for instr in instrs:
-            if instr.op == ctor_op:
-                fed.update(instr.uses if operand is None else (instr.uses[operand],))
-    return fed
+def _with_blocks(m: MethodIR, fn) -> MethodIR:
+    """``m`` with fn(instrs) -> instrs applied to every block."""
+    blocks = tuple((bid, tuple(fn(instrs))) for bid, instrs in m.blocks)
+    return MethodIR(m.name, blocks, m.edges, m.entry)
+
+
+def _map_blocks(pkg: AppPackage, fn) -> AppPackage:
+    """Apply fn(instrs) -> instrs to every block, in walk order."""
+    return _map_methods(pkg, lambda m: _with_blocks(m, fn))
+
+
+def _map_instructions(pkg: AppPackage, fn) -> AppPackage:
+    """Apply fn(method, instr) -> instr to every instruction."""
+    return _map_methods(pkg, lambda m: _with_blocks(m, lambda instrs: [fn(m, i) for i in instrs]))
+
+
+# Operators that hide one intent-chain instruction behind an opaque call
+# defining the same variable: op -> (instruction hidden, the intent
+# constructor operand it must feed or None, opaque tag, inapplicable message).
+_HIDING = {
+    3: ("assign_string", ("new_intent_action", 0), "enc", "no constants feed intent chains (op 3)"),
+    4: ("assign_class", ("new_intent_explicit", 1), "dec", "no constants feed intent chains (op 4)"),
+    11: ("new_intent_explicit", None, "refl", "no explicit intent constructions to hide"),
+}
+
+
+def _intent_fed_vars(method: MethodIR, ctor_op: str, operand: int) -> set[str]:
+    return {instr.uses[operand] for _, instrs in method.blocks for instr in instrs
+            if instr.op == ctor_op}
 
 
 def _rename_components(pkg: AppPackage, trace: TraceLog, mapping: dict[str, str]):
@@ -414,13 +437,13 @@ def _rename_components(pkg: AppPackage, trace: TraceLog, mapping: dict[str, str]
         ComponentDecl(mapping.get(c.name, c.name), c.kind, c.intent_filters)
         for c in pkg.components
     )
-    renamed = _rewrite_instructions(
+    renamed = _map_instructions(
         pkg,
-        lambda comp, m, b, i, instr: replace(instr, arg=mapping[instr.arg])
+        lambda m, instr: replace(instr, arg=mapping[instr.arg])
         if instr.op == "assign_class" and instr.arg in mapping
         else instr,
     )
-    methods = {mapping.get(name, name): renamed.methods[name] for name in renamed.methods}
+    methods = {mapping.get(name, name): ms for name, ms in renamed.methods.items()}
     new_pkg = AppPackage(pkg.package_name, components, methods)
     binder = tuple(
         replace(
@@ -433,6 +456,53 @@ def _rename_components(pkg: AppPackage, trace: TraceLog, mapping: dict[str, str]
         for r in trace.binder
     )
     return new_pkg, TraceLog(trace.app, binder, trace.syscalls)
+
+
+def _rename_variables(m: MethodIR) -> MethodIR:
+    var_map: dict[str, str] = {}
+
+    def mapped(v: str) -> str:
+        if v not in var_map:
+            var_map[v] = f"r{len(var_map)}"
+        return var_map[v]
+
+    return _with_blocks(m, lambda instrs: [
+        replace(i, defs=tuple(mapped(v) for v in i.defs), uses=tuple(mapped(v) for v in i.uses))
+        for i in instrs
+    ])
+
+
+def _scatter(rng: random.Random, instrs, make) -> list[Instruction]:
+    """``instrs`` with one or two make() instructions at random positions."""
+    work = list(instrs)
+    for _ in range(rng.randint(1, 2)):
+        work.insert(rng.randint(0, len(work)), make())
+    return work
+
+
+def _add_junk(pkg: AppPackage, rng: random.Random, hosts: list[str]) -> AppPackage:
+    """Two dead services, each statically started from a malicious host, plus
+    opaque padding in every block; fresh variables cannot disturb chains."""
+    junk = [ComponentDecl(f"{pkg.package_name}.junk.J{i}Service", "service") for i in range(2)]
+    methods = dict(pkg.methods)
+    for i, j in enumerate(junk):
+        host = rng.choice(hosts)
+        first, *rest = methods[host]
+        (bid, instrs), *blocks = first.blocks
+        v1, v2, iv = f"j{i}a", f"j{i}b", f"j{i}c"
+        wiring = (
+            assign_this(v1),
+            assign_class(v2, j.name),
+            new_intent_explicit(iv, v1, v2),
+            Instruction("start_service", uses=(iv,)),
+        )
+        methods[host] = (replace(first, blocks=((bid, instrs + wiring), *blocks)), *rest)
+        methods[j.name] = (make_method("onStartCommand", [("b0", [opaque("junk")])], []),)
+    pad_ids = count()
+    return _map_blocks(
+        AppPackage(pkg.package_name, (*pkg.components, *junk), methods),
+        lambda instrs: _scatter(rng, instrs, lambda: opaque("junkpad", f"q{next(pad_ids)}")),
+    )
 
 
 def apply_transform(template: FamilyTemplate, op: TransformOp, seed: int = 0):
@@ -454,201 +524,80 @@ def apply_transform(template: FamilyTemplate, op: TransformOp, seed: int = 0):
         return new_pkg, new_trace
 
     if op.op_id == 2:  # block reordering: reverse the non-entry block listing
-        changed = False
-        methods: dict[str, tuple[MethodIR, ...]] = {}
-        for comp_name, comp_methods in pkg.methods.items():
-            new_methods = []
-            for m in comp_methods:
-                if len(m.blocks) >= 3:
-                    changed = True
-                    m = make_method(m.name, [m.blocks[0], *reversed(m.blocks[1:])],
-                                    m.edges, m.entry)
-                new_methods.append(m)
-            methods[comp_name] = tuple(new_methods)
-        if not changed:
+        new_pkg = _map_methods(
+            pkg,
+            lambda m: make_method(m.name, [m.blocks[0], *reversed(m.blocks[1:])], m.edges, m.entry)
+            if len(m.blocks) >= 3
+            else m,
+        )
+        if new_pkg == pkg:
             raise InapplicableTransform("no method has enough blocks to reorder")
-        return AppPackage(pkg.package_name, pkg.components, methods), trace
+        return new_pkg, trace
 
-    if op.op_id in (3, 4):  # hide string / class constants feeding intent chains
-        hidden = 0
-
-        def hide(comp, m, b, i, instr):
-            nonlocal hidden
-            if op.op_id == 3 and instr.op == "assign_string":
-                if instr.defs[0] in _intent_fed_vars(m, "new_intent_action"):
-                    hidden += 1
-                    return opaque("enc", instr.defs[0])
-            if op.op_id == 4 and instr.op == "assign_class":
-                if instr.defs[0] in _intent_fed_vars(m, "new_intent_explicit", 1):
-                    hidden += 1
-                    return opaque("dec", instr.defs[0])
-            return instr
-
-        new_pkg = _rewrite_instructions(pkg, hide)
-        if not hidden:
-            raise InapplicableTransform(f"no constants feed intent chains (op {op.op_id})")
+    if op.op_id in _HIDING:  # string / class constant hiding, reflective intents
+        hidden, feeds, tag, why = _HIDING[op.op_id]
+        new_pkg = _map_instructions(
+            pkg,
+            lambda m, instr: opaque(tag, instr.defs[0])
+            if instr.op == hidden and (feeds is None or instr.defs[0] in _intent_fed_vars(m, *feeds))
+            else instr,
+        )
+        if new_pkg == pkg:
+            raise InapplicableTransform(why)
         return new_pkg, trace
 
     if op.op_id == 5:  # strip manifest filters and debug-ish tags
-        components = tuple(ComponentDecl(c.name, c.kind, ()) for c in pkg.components)
-        stripped = _rewrite_instructions(
+        stripped = _map_instructions(
             pkg,
-            lambda comp, m, b, i, instr: replace(instr, arg="stripped")
-            if instr.op == "opaque"
-            else instr,
+            lambda m, instr: replace(instr, arg="stripped") if instr.op == "opaque" else instr,
         )
-        return AppPackage(pkg.package_name, components, stripped.methods), trace
+        components = tuple(ComponentDecl(c.name, c.kind, ()) for c in pkg.components)
+        return replace(stripped, components=components), trace
 
     if op.op_id == 6:  # swap adjacent independent instructions
         swaps = 0
-        methods: dict[str, tuple[MethodIR, ...]] = {}
-        for comp_name, comp_methods in pkg.methods.items():
-            new_methods = []
-            for m in comp_methods:
-                blocks = []
-                for bid, instrs in m.blocks:
-                    work = list(instrs)
-                    for _ in range(max(1, op.param) * 2):
-                        if len(work) < 2:
-                            break
-                        j = rng.randrange(len(work) - 1)
-                        a, b_ = work[j], work[j + 1]
-                        if not (set(a.defs) | set(a.uses)) & (set(b_.defs) | set(b_.uses)):
-                            work[j], work[j + 1] = b_, a
-                            swaps += 1
-                    blocks.append((bid, tuple(work)))
-                new_methods.append(MethodIR(m.name, tuple(blocks), m.edges, m.entry))
-            methods[comp_name] = tuple(new_methods)
+
+        def swap(instrs):
+            nonlocal swaps
+            work = list(instrs)
+            for _ in range(4):
+                if len(work) < 2:
+                    break
+                j = rng.randrange(len(work) - 1)
+                a, b = work[j], work[j + 1]
+                if not (set(a.defs) | set(a.uses)) & (set(b.defs) | set(b.uses)):
+                    work[j], work[j + 1] = b, a
+                    swaps += 1
+            return work
+
+        new_pkg = _map_blocks(pkg, swap)
         if not swaps:
             raise InapplicableTransform("no independent adjacent instruction pairs")
-        return AppPackage(pkg.package_name, pkg.components, methods), trace
+        return new_pkg, trace
 
     if op.op_id == 7:  # junk: opaque padding plus statically wired dead components
-        mal_names = sorted(template.malicious_cluster)
-        junk_count = max(1, op.param)
-        junk = [
-            ComponentDecl(f"{pkg.package_name}.junk.J{i}Service", "service")
-            for i in range(junk_count)
-        ]
-        methods = dict(pkg.methods)
-        for i, j in enumerate(junk):
-            host = rng.choice(mal_names)
-            host_methods = list(methods[host])
-            m = host_methods[0]
-            bid, instrs = m.blocks[0]
-            v1, v2, iv = f"j{i}a", f"j{i}b", f"j{i}c"
-            extra = (
-                assign_this(v1),
-                assign_class(v2, j.name),
-                new_intent_explicit(iv, v1, v2),
-                Instruction("start_service", uses=(iv,)),
-            )
-            host_methods[0] = MethodIR(
-                m.name, ((bid, instrs + extra), *m.blocks[1:]), m.edges, m.entry
-            )
-            methods[host] = tuple(host_methods)
-            methods[j.name] = (make_method("onStartCommand", [("b0", [opaque("junk")])], []),)
-        # Opaque padding with fresh variables cannot disturb existing chains.
-        pad_ids = iter(range(10_000))
-        padded_methods: dict[str, tuple[MethodIR, ...]] = {}
-        for comp_name, comp_methods in methods.items():
-            new_methods = []
-            for m in comp_methods:
-                blocks = []
-                for bid, instrs in m.blocks:
-                    work = list(instrs)
-                    for _ in range(rng.randint(1, 2)):
-                        work.insert(
-                            rng.randint(0, len(work)),
-                            opaque("junkpad", f"q{next(pad_ids)}"),
-                        )
-                    blocks.append((bid, tuple(work)))
-                new_methods.append(MethodIR(m.name, tuple(blocks), m.edges, m.entry))
-            padded_methods[comp_name] = tuple(new_methods)
-        return AppPackage(pkg.package_name, (*pkg.components, *junk), padded_methods), trace
+        return _add_junk(pkg, rng, sorted(template.malicious_cluster)), trace
 
     if op.op_id == 8:  # nop insertion
-        methods = {}
-        for comp_name, comp_methods in pkg.methods.items():
-            new_methods = []
-            for m in comp_methods:
-                blocks = []
-                for bid, instrs in m.blocks:
-                    work = list(instrs)
-                    for _ in range(rng.randint(1, max(1, op.param))):
-                        work.insert(rng.randint(0, len(work)), nop())
-                    blocks.append((bid, tuple(work)))
-                new_methods.append(MethodIR(m.name, tuple(blocks), m.edges, m.entry))
-            methods[comp_name] = tuple(new_methods)
-        return AppPackage(pkg.package_name, pkg.components, methods), trace
+        return _map_blocks(pkg, lambda instrs: _scatter(rng, instrs, nop)), trace
 
     if op.op_id == 9:  # method renaming
-        counter = 0
-
-        def rename(methods_tuple):
-            nonlocal counter
-            out = []
-            for m in methods_tuple:
-                out.append(MethodIR(f"m{counter}", m.blocks, m.edges, m.entry))
-                counter += 1
-            return tuple(out)
-
-        methods = {name: rename(ms) for name, ms in pkg.methods.items()}
-        return AppPackage(pkg.package_name, pkg.components, methods), trace
+        counter = count()
+        return _map_methods(pkg, lambda m: replace(m, name=f"m{next(counter)}")), trace
 
     if op.op_id == 10:  # variable renaming (fields have no other IR analogue)
-        methods = {}
-        for comp_name, comp_methods in pkg.methods.items():
-            new_methods = []
-            for m in comp_methods:
-                var_map: dict[str, str] = {}
-
-                def mapped(v: str) -> str:
-                    if v not in var_map:
-                        var_map[v] = f"r{len(var_map)}"
-                    return var_map[v]
-
-                blocks = []
-                for bid, instrs in m.blocks:
-                    blocks.append((bid, tuple(
-                        replace(i_, defs=tuple(mapped(v) for v in i_.defs),
-                                uses=tuple(mapped(v) for v in i_.uses))
-                        for i_ in instrs
-                    )))
-                new_methods.append(MethodIR(m.name, tuple(blocks), m.edges, m.entry))
-            methods[comp_name] = tuple(new_methods)
-        return AppPackage(pkg.package_name, pkg.components, methods), trace
-
-    if op.op_id == 11:  # reflective intent construction
-        hits = 0
-
-        def reflect(comp, m, b, i, instr):
-            nonlocal hits
-            if instr.op == "new_intent_explicit":
-                hits += 1
-                return opaque("refl", instr.defs[0])
-            return instr
-
-        new_pkg = _rewrite_instructions(pkg, reflect)
-        if not hits:
-            raise InapplicableTransform("no explicit intent constructions to hide")
-        return new_pkg, trace
+        return _map_methods(pkg, _rename_variables), trace
 
     if op.op_id == 12:  # dynamic component loading
         if len(pkg.components) < 2:
             raise InapplicableTransform("cannot delete the only component")
-        base_cluster = malicious_graph(template)
-        degree: dict[str, int] = {c.name: 0 for c in base_cluster.app_components()}
-        for src, dst, _ in base_cluster.edges:
-            for nid in (src, dst):
-                if nid.startswith("app:") and nid[4:] in degree:
-                    degree[nid[4:]] += 1
+        degree = _app_degrees(malicious_graph(template))
         victim = min(sorted(degree), key=lambda n: degree[n])
         components = tuple(c for c in pkg.components if c.name != victim)
         survivors = {name: ms for name, ms in pkg.methods.items() if name != victim}
-        new_pkg = _rewrite_instructions(
+        new_pkg = _map_instructions(
             AppPackage(pkg.package_name, components, survivors),
-            lambda comp, m, b, i, instr: opaque("dyn", instr.defs[0])
+            lambda m, instr: opaque("dyn", instr.defs[0])
             if instr.op == "assign_class" and instr.arg == victim
             else instr,
         )
@@ -665,13 +614,12 @@ def apply_transform(template: FamilyTemplate, op: TransformOp, seed: int = 0):
 # ---------------------------------------------------------------------------
 
 
-def generate_benign(seed: int, size: SizeParams, base_graphs,
-                    max_attempts: int = 25):
+def generate_benign(seed: int, size: SizeParams, base_graphs):
     """A clean single-cluster app; regenerates until structurally far from
     every family base.  Returns (pkg, trace, max_base_score, rejections);
     the score is an upper bound where a search ran out of budget."""
     rejections = 0
-    for attempt in range(max_attempts):
+    for attempt in range(BENIGN_ATTEMPTS):
         rng = random.Random(f"benign:{seed}:{attempt}")
         n = rng.randint(3, max(4, size.benign_components[1] + 2))
         app_name = f"com.app{seed}.main"
@@ -765,6 +713,11 @@ class EvalReport:
                 f" {r['tpr']:>6.3f} {r['fnr']:>6.3f} {r['tnr']:>6.3f} {r['fpr']:>6.3f}"
                 f" {r['acc']:>6.3f}"
             )
+        lines.append(
+            f"benign rejections: {self.benign_rejections}, max benign score: "
+            f"{max(self.benign_scores, default=0.0):.3f}, pruning disagreements: "
+            f"{self.pruning_disagreements}/{self.pruning_checked}"
+        )
         if "rbg_only" in self.per_transform:
             lines.append("")
             lines.append("id  transformation                      detected/total (rbg_only)")
@@ -774,7 +727,7 @@ class EvalReport:
 
 
 def run_eval(families: int, variants_per_family: int = 12, benign_count: int = 50,
-             threshold=0.8, modes=MODES, master_seed: int = 7, alpha: int = 5,
+             threshold=DEFAULT_THRESHOLD, master_seed: int = 7, alpha: int = DEFAULT_ALPHA,
              size: SizeParams = SizeParams(), verify_pruning: bool = False) -> EvalReport:
     """Build a store from generated family bases, then measure detection.
 
@@ -794,8 +747,8 @@ def run_eval(families: int, variants_per_family: int = 12, benign_count: int = 5
         store = merge_blacklist(store, endpoints, executables)
     base_graphs = [store.graph(ref) for ref in store.range_candidates(0, 10**9)]
 
-    counts = {mode: ModeCounts() for mode in modes}
-    per_transform: dict[str, dict[int, list[int]]] = {mode: {} for mode in modes}
+    counts = {mode: ModeCounts() for mode in MODES}
+    per_transform: dict[str, dict[int, list[int]]] = {mode: {} for mode in MODES}
     pruning_checked = 0
     pruning_disagreements = 0
 
@@ -808,17 +761,12 @@ def run_eval(families: int, variants_per_family: int = 12, benign_count: int = 5
         if verify_pruning:
             pruning_checked += 1
             full = match_rbg(suspect, store, th, alpha=10**9)
-            if (full is None) != (graph_hit is None) or (
-                full is not None and graph_hit is not None and full[0] != graph_hit[0]
-            ):
+            if (full and full[0]) != (graph_hit and graph_hit[0]):
                 pruning_disagreements += 1
-        for mode in modes:
-            if mode == "sss_only":
-                detected = bool(sss_hits)
-            elif mode == "rbg_only":
-                detected = graph_hit is not None
-            else:
-                detected = graph_hit is not None or bool(sss_hits)
+        flagged = {"sss_only": bool(sss_hits), "rbg_only": graph_hit is not None}
+        flagged["combined"] = flagged["sss_only"] or flagged["rbg_only"]
+        for mode in MODES:
+            detected = flagged[mode]
             c = counts[mode]
             if positive:
                 c.tp += 1 if detected else 0

@@ -47,6 +47,11 @@ SEARCH_BUDGET = 100_000
 
 MODES = ("sss_only", "rbg_only", "combined")
 
+# The paper's operating point: a match needs similarity 0.8 or more, and only
+# stored graphs within 5 app components of the suspect are candidates.
+DEFAULT_THRESHOLD = Fraction(4, 5)
+DEFAULT_ALPHA = 5
+
 _EMPTY: frozenset[int] = frozenset()
 
 
@@ -290,7 +295,7 @@ def match_sss(suspect: Sss, blacklist) -> list[str]:
     return hits
 
 
-def match_rbg(suspect, store, threshold=Fraction(4, 5), alpha: int = 5):
+def match_rbg(suspect, store, threshold=DEFAULT_THRESHOLD, alpha: int = DEFAULT_ALPHA):
     """Best store match at or above ``threshold`` for any suspect graph.
 
     ``suspect`` is a list of decoupled graphs.  Candidates come from the
@@ -343,13 +348,15 @@ class Verdict:
         if self.best_score is not None:
             obj["score"] = float(self.best_score.value)
             obj["exact"] = self.best_score.exact
+            if not self.best_score.exact:
+                obj["bound"] = float(self.best_score.bound)
         if self.matched_blacklist is not None:
             obj["matched_blacklist"] = list(self.matched_blacklist)
         return obj
 
 
-def decide(signature: RuntimeBehaviorSignature, store, threshold=Fraction(4, 5),
-           mode: str = "combined", alpha: int = 5) -> Verdict:
+def decide(signature: RuntimeBehaviorSignature, store, threshold=DEFAULT_THRESHOLD,
+           mode: str = "combined", alpha: int = DEFAULT_ALPHA) -> Verdict:
     """Match a signature against the store under the given mode.
 
     sss_only flags on a blacklist hit, rbg_only on a graph match, combined on

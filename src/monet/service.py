@@ -25,9 +25,16 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .behavior_graph import CorruptGraph, graph_from_json_obj
-from .matcher import MODES, NotDecoupled, RuntimeBehaviorSignature, decide, exact_threshold
-from .sigstore import (
+from .matcher import (
     DEFAULT_ALPHA,
+    DEFAULT_THRESHOLD,
+    MODES,
+    NotDecoupled,
+    RuntimeBehaviorSignature,
+    decide,
+    exact_threshold,
+)
+from .sigstore import (
     FamilySignature,
     SignatureStore,
     StoreError,
@@ -38,21 +45,9 @@ from .trace import Sss
 
 log = logging.getLogger(__name__)
 
-DEFAULT_THRESHOLD = 0.8
-
 
 class BadRequest(Exception):
     pass
-
-
-def preload(bundle_path) -> SignatureStore:
-    """Load a pre-distributed signature bundle for offline detection.
-
-    The result answers ``decide`` exactly as the server path does for the
-    same inputs; store load errors propagate (a corrupted bundle refuses to
-    start rather than serving partial signatures).
-    """
-    return load_store(bundle_path)
 
 
 def _parse_signature(obj) -> RuntimeBehaviorSignature:
@@ -155,12 +150,19 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(data)
 
     def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length)
+        text = self.headers.get("Content-Length") or "0"
+        if not (text.isascii() and text.isdigit()):
+            # Without a length the body cannot be framed, so neither can the
+            # next request on this connection.
+            self.close_connection = True
+            raise BadRequest("Content-Length must be a non-negative integer")
+        raw = self.rfile.read(int(text))
         try:
             return json.loads(raw)
         except json.JSONDecodeError as exc:
@@ -207,7 +209,7 @@ def make_server(store: SignatureStore, host: str = "127.0.0.1", port: int = 0,
 def serve(store_path, listen: str = "127.0.0.1:8743",
           threshold=DEFAULT_THRESHOLD, alpha: int = DEFAULT_ALPHA) -> None:
     """Load the store and serve until interrupted.  Startup failures raise."""
-    store = preload(store_path)
+    store = load_store(store_path)  # a corrupted store refuses to start
     host, _, port_text = listen.rpartition(":")
     if not host or not port_text.isdigit():
         raise ValueError(f"listen address must be host:port, got {listen!r}")
@@ -227,6 +229,5 @@ __all__ = [
     "DetectionService",
     "StoreError",
     "make_server",
-    "preload",
     "serve",
 ]

@@ -24,14 +24,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .behavior_graph import BehaviorGraph, CorruptGraph, graph_from_json, graph_to_json, is_decoupled
-from .bptree import DEFAULT_ORDER, BplusIndex
-from .matcher import NotDecoupled
+from .bptree import BplusIndex
+from .matcher import DEFAULT_ALPHA, NotDecoupled
 from .trace import normalize_endpoint
 
 FORMAT_VERSION = 1
-DEFAULT_ALPHA = 5
 
-_FAMILY_ID_RE = re.compile(r"[A-Za-z0-9._-]+$")
+# No path separators, and no leading dot: "." and ".." would leave graphs/.
+_FAMILY_ID_RE = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9._-]*")
 
 
 class StoreError(Exception):
@@ -106,8 +106,8 @@ class SignatureStore:
         )
 
 
-def empty_store(order: int = DEFAULT_ORDER) -> SignatureStore:
-    return SignatureStore(index=BplusIndex(order))
+def empty_store() -> SignatureStore:
+    return SignatureStore()
 
 
 def insert_signature(store: SignatureStore, family: FamilySignature) -> SignatureStore:
@@ -117,7 +117,7 @@ def insert_signature(store: SignatureStore, family: FamilySignature) -> Signatur
     family (by canonical serialization) are dropped, so re-inserting the same
     family is idempotent up to the version counter.
     """
-    if not _FAMILY_ID_RE.match(family.family_id):
+    if not _FAMILY_ID_RE.fullmatch(family.family_id):
         raise ValueError(f"family id unsafe for storage: {family.family_id!r}")
     for g in family.graphs:
         if g.origin != "runtime":
@@ -151,10 +151,11 @@ def merge_blacklist(store: SignatureStore, endpoints=(), executables=()) -> Sign
     return SignatureStore(dict(store.families), bl, store.index, store.version + 1)
 
 
-def rebuild_index(store: SignatureStore, order: int = DEFAULT_ORDER) -> BplusIndex:
-    index = BplusIndex(order)
-    for fid in sorted(store.families):
-        for ordinal, g in enumerate(store.families[fid].graphs):
+def rebuild_index(families: dict[str, FamilySignature]) -> BplusIndex:
+    """The count index of ``families``, built from scratch."""
+    index = BplusIndex()
+    for fid in sorted(families):
+        for ordinal, g in enumerate(families[fid].graphs):
             index = index.insert(g.app_count, GraphRef(fid, ordinal))
     return index
 
@@ -218,37 +219,66 @@ def save_store(store: SignatureStore, path) -> None:
         raise StoreIOError(f"cannot write store at {root}: {exc}") from exc
 
 
-def load_store(path, order: int = DEFAULT_ORDER) -> SignatureStore:
+def _manifest_schema(manifest) -> tuple[list[tuple[str, int, str]], SssBlacklist, int]:
+    """(family id, graph count, notes) entries, blacklist and version of a
+    decoded manifest; any deviation from the schema is a :class:`StoreError`."""
+
+    def require(ok: bool, what: str) -> None:
+        if not ok:
+            raise StoreError(f"malformed manifest: {what}")
+
+    families = manifest.get("families")
+    require(isinstance(families, list), "'families' must be a list")
+    entries = []
+    for f in families:
+        require(isinstance(f, dict), "each family entry must be an object")
+        fid, count, notes = f.get("family_id"), f.get("graph_count"), f.get("notes", "")
+        require(isinstance(fid, str) and bool(_FAMILY_ID_RE.fullmatch(fid)),
+                f"family id unsafe for storage: {fid!r}")
+        require(type(count) is int and count >= 0, f"family {fid}: bad graph_count {count!r}")
+        require(isinstance(notes, str), f"family {fid}: 'notes' must be a string")
+        entries.append((fid, count, notes))
+    bl = manifest.get("blacklist")
+    require(isinstance(bl, dict), "'blacklist' must be an object")
+    endpoints, executables = bl.get("endpoints"), bl.get("executables")
+    require(all(isinstance(xs, list) and all(isinstance(x, str) for x in xs)
+                for xs in (endpoints, executables)),
+            "blacklist endpoints and executables must be lists of strings")
+    version = manifest.get("version")
+    require(type(version) is int and version >= 0, f"bad version {version!r}")
+    return entries, SssBlacklist(frozenset(endpoints), frozenset(executables)), version
+
+
+def load_store(path) -> SignatureStore:
     """Load a store directory; fail-closed on any corruption."""
     root = Path(path)
     try:
-        manifest_text = (root / "store.json").read_text(encoding="utf-8")
-        crc_text = (root / "store.crc").read_text(encoding="utf-8").strip()
+        manifest_bytes = (root / "store.json").read_bytes()
+        crc = (root / "store.crc").read_bytes().strip()
     except OSError as exc:
         raise StoreIOError(f"cannot read store at {root}: {exc}") from exc
     try:
-        manifest = json.loads(manifest_text)
-    except json.JSONDecodeError as exc:
+        manifest = json.loads(manifest_bytes)
+    except (ValueError, RecursionError) as exc:  # bad JSON or bad UTF-8
         raise ChecksumMismatch(f"manifest is not valid JSON: {exc}") from exc
-    if not isinstance(manifest, dict) or manifest.get("format") != FORMAT_VERSION:
-        raise FormatVersionMismatch(
-            f"unsupported store format {manifest.get('format')!r} (want {FORMAT_VERSION})"
-        )
-    family_counts = [(f["family_id"], f["graph_count"]) for f in manifest["families"]]
-    if _checksum(root, _graph_rel_paths(family_counts)) != crc_text:
+    found = manifest.get("format") if isinstance(manifest, dict) else None
+    if found != FORMAT_VERSION:
+        raise FormatVersionMismatch(f"unsupported store format {found!r} (want {FORMAT_VERSION})")
+    entries, blacklist, version = _manifest_schema(manifest)
+    rel_paths = _graph_rel_paths([(fid, count) for fid, count, _ in entries])
+    if _checksum(root, rel_paths).encode() != crc:
         raise ChecksumMismatch("store checksum mismatch")
 
     families: dict[str, FamilySignature] = {}
-    for entry in manifest["families"]:
-        fid = entry["family_id"]
+    for fid, count, notes in entries:
         graphs = []
-        for ordinal in range(entry["graph_count"]):
-            blob = (root / "graphs" / fid / f"{ordinal}.json").read_text(encoding="utf-8")
-            graphs.append(graph_from_json(blob))
-        families[fid] = FamilySignature(fid, tuple(graphs), entry.get("notes", ""))
-    blacklist = SssBlacklist(
-        frozenset(manifest["blacklist"]["endpoints"]),
-        frozenset(manifest["blacklist"]["executables"]),
-    )
-    store = SignatureStore(families, blacklist, BplusIndex(order), int(manifest["version"]))
-    return SignatureStore(families, blacklist, rebuild_index(store, order), store.version)
+        for ordinal in range(count):
+            rel = f"graphs/{fid}/{ordinal}.json"
+            try:
+                graphs.append(graph_from_json((root / rel).read_bytes().decode("utf-8")))
+            except OSError as exc:
+                raise StoreIOError(f"cannot read {rel}: {exc}") from exc
+            except (CorruptGraph, ValueError, RecursionError) as exc:
+                raise StoreError(f"{rel}: {exc}") from exc
+        families[fid] = FamilySignature(fid, tuple(graphs), notes)
+    return SignatureStore(families, blacklist, rebuild_index(families), version)

@@ -28,7 +28,7 @@ from monet.corpus import (
 from monet.dataflow import EXIT, build_cfg, reaching_definitions
 from monet.matcher import decide, match_rbg, similarity
 from monet.pipeline import signature_of
-from monet.service import DetectionService, preload
+from monet.service import DetectionService
 from monet.sigstore import (
     ChecksumMismatch,
     empty_store,
@@ -375,7 +375,7 @@ def test_c10_offline_bundle_parity_with_server(tmp_path):
     bundle = tmp_path / "bundle"
     save_store(store, bundle)
 
-    offline_store = preload(bundle)
+    offline_store = load_store(bundle)
     probes = templates + [generate_family(830 + i) for i in range(3)]
     bodies = _request_bodies(probes, 10)
     offline_verdicts = []

@@ -143,6 +143,19 @@ def test_data_error_exit_code(tmp_path, capsys):
     assert "monet:" in err
 
 
+def test_malformed_store_manifest_is_a_data_error(tmp_path, capsys):
+    graph_file = tmp_path / "mal.json"
+    graph_file.write_text(graph_to_json(malicious_graph(generate_family(43))))
+    store_dir = tmp_path / "store"
+    assert main(["sign", "--family", "famZ", "--rbg", str(graph_file),
+                 "--store", str(store_dir)]) == 0
+    manifest = json.loads((store_dir / "store.json").read_text())
+    del manifest["families"][0]["graph_count"]
+    (store_dir / "store.json").write_text(json.dumps(manifest))
+    assert main(["match", "--store", str(store_dir), "--rbg", str(graph_file)]) == 3
+    assert "monet:" in capsys.readouterr().err
+
+
 def test_debug_dataflow_dump(workdir, tmp_path):
     dump = tmp_path / "df.json"
     assert main(["sbg", str(workdir / "app.mir"), "-o", str(tmp_path / "g.json"),

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,8 @@ from monet.corpus import (
 )
 from monet.matcher import similarity
 from monet.pipeline import runtime_graph, signature_of, static_graph
-from monet.app_model import validate_package
+from monet.app_model import render_package, validate_package
+from monet.trace import render_trace
 
 SEMANTIC_OPS = (1, 2, 5, 6, 8, 9, 10)
 HIDING_OPS = (3, 4, 7, 11, 12)
@@ -102,7 +104,7 @@ def test_class_rename_touches_every_occurrence():
 def test_junk_components_grow_the_malicious_cluster():
     t = generate_family(11)
     base = malicious_graph(t)
-    pkg, trace = apply_transform(t, TransformOp(7, param=2), seed=2)
+    pkg, trace = apply_transform(t, TransformOp(7), seed=2)
     parts = decouple(runtime_graph(pkg, trace))
     grown = max(parts, key=lambda g: g.app_count)
     assert grown.app_count == base.app_count + 2
@@ -185,3 +187,33 @@ def test_blacklist_comes_from_malicious_trace():
     fam = family_signature(t, "famZ")
     assert fam.family_id == "famZ"
     assert len(fam.graphs) == 1
+
+
+PINNED_CORPUS_SHA256 = "62a9b8114d313dddbe8126be231fa500d9126f666abf19c7aeca0cc4070a05ab"
+
+
+def test_generated_corpus_is_pinned():
+    """The benchmark's inputs come from this module: a change to corpus
+    output must show up here, not silently in the benchmark figures."""
+    digest = hashlib.sha256()
+
+    def feed(pkg, trace):
+        digest.update(render_package(pkg).encode())
+        digest.update(render_trace(trace).encode())
+
+    sizes = (SizeParams(), SizeParams(malicious_components=(9, 11), benign_components=(0, 0)))
+    for size in sizes:
+        templates = [generate_family(seed, size) for seed in range(3)]
+        for t in templates:
+            feed(t.base_pkg, t.base_trace)
+            for op_id in range(1, 13):
+                try:
+                    feed(*apply_transform(t, TransformOp(op_id), seed=1))
+                except InapplicableTransform:
+                    digest.update(f"inapplicable {t.seed} {op_id}".encode())
+        bases = [malicious_graph(t) for t in templates]
+        for seed in range(2):
+            pkg, trace, worst, rejections = generate_benign(seed, size, bases)
+            feed(pkg, trace)
+            digest.update(f"{worst} {rejections}".encode())
+    assert digest.hexdigest() == PINNED_CORPUS_SHA256

@@ -182,6 +182,26 @@ def test_exhausted_budget_reports_incumbent_and_bound(monkeypatch):
     assert cut_short >= 20
 
 
+def test_inexact_verdict_reports_its_bound(monkeypatch):
+    rng = random.Random(77)
+    monkeypatch.setattr(matcher, "SEARCH_BUDGET", 2)
+    inexact = 0
+    for _ in range(60):
+        g1, g2 = random_cluster_graph(rng), random_cluster_graph(rng)
+        store = insert_signature(empty_store(), FamilySignature("famA", (g2,)))
+        verdict = decide(RuntimeBehaviorSignature("x", g1, Sss()), store, 0.1, "rbg_only", 10**9)
+        obj = verdict.to_json_obj()
+        if verdict.best_score is None:
+            assert "bound" not in obj
+        elif verdict.best_score.exact:
+            assert obj["exact"] is True and "bound" not in obj
+        else:
+            inexact += 1
+            assert obj["exact"] is False
+            assert obj["bound"] == float(verdict.best_score.bound) >= obj["score"]
+    assert inexact >= 3
+
+
 def test_exact_threshold_handles_decimal_text():
     assert exact_threshold(0.8) == Fraction(4, 5)
     assert exact_threshold("0.8") == Fraction(4, 5)

@@ -1,5 +1,6 @@
 import json
 import random
+import socket
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -15,8 +16,15 @@ from monet.corpus import (
 )
 from monet.matcher import RuntimeBehaviorSignature, decide
 from monet.pipeline import signature_of
-from monet.service import DetectionService, preload
-from monet.sigstore import empty_store, insert_signature, merge_blacklist, save_store
+from monet.service import DetectionService
+from monet.sigstore import (
+    StoreError,
+    empty_store,
+    insert_signature,
+    load_store,
+    merge_blacklist,
+    save_store,
+)
 
 from conftest import http_json, running_server
 
@@ -91,6 +99,33 @@ def test_malformed_body_and_unknown_route():
         status, health = http_json(addr, "GET", "/v1/health")
         assert status == 200
         assert health["families"] == 1
+
+
+def _raw_post(addr, content_length: str) -> bytes:
+    """POST /v1/match with a literal Content-Length header; returns the reply
+    head, or raises socket.timeout if the server never answers."""
+    with socket.create_connection(addr, timeout=5) as sock:
+        sock.sendall(b"POST /v1/match HTTP/1.1\r\nHost: t\r\nContent-Type: application/json\r\n"
+                     b"Content-Length: " + content_length.encode() + b"\r\n\r\n{}")
+        reply = b""
+        while b"\r\n\r\n" not in reply:
+            chunk = sock.recv(4096)
+            if not chunk:
+                break
+            reply += chunk
+    return reply
+
+
+@pytest.mark.parametrize("content_length", ["abc", "-1"])
+def test_bad_content_length_gets_400(content_length, caplog):
+    store, _ = small_store(1)
+    with running_server(store) as addr:
+        reply = _raw_post(addr, content_length)
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in reply
+        status, _ = http_json(addr, "GET", "/v1/health")
+        assert status == 200
+    assert "Traceback" not in caplog.text and "internal error" not in caplog.text
 
 
 def test_bad_mode_and_threshold_rejected():
@@ -177,7 +212,7 @@ def test_concurrent_requests_match_serial_results():
 def test_preload_matches_decide_directly(tmp_path):
     store, templates = small_store(2)
     save_store(store, tmp_path / "bundle")
-    loaded = preload(tmp_path / "bundle")
+    loaded = load_store(tmp_path / "bundle")
     sig = signature_of(templates[1].base_pkg, templates[1].base_trace)
     offline = decide(sig, loaded, 0.8, "combined")
     online = decide(sig, store, 0.8, "combined")
@@ -189,13 +224,13 @@ def test_preload_refuses_corrupted_bundle(tmp_path):
     save_store(store, tmp_path / "bundle")
     victim = next((tmp_path / "bundle" / "graphs").rglob("*.json"))
     victim.write_text("{}")
-    with pytest.raises(Exception):
-        preload(tmp_path / "bundle")
+    with pytest.raises(StoreError):
+        load_store(tmp_path / "bundle")
 
 
 def test_empty_bundle_answers_clean(tmp_path):
     save_store(empty_store(), tmp_path / "bundle")
-    loaded = preload(tmp_path / "bundle")
+    loaded = load_store(tmp_path / "bundle")
     t = generate_family(91)
     sig = signature_of(t.base_pkg, t.base_trace)
     assert decide(sig, loaded, 0.8, "combined").decision == "clean"

@@ -1,6 +1,10 @@
+import json
 import random
+import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monet.behavior_graph import AppComponent, BehaviorGraph
 from monet.matcher import NotDecoupled
@@ -9,6 +13,7 @@ from monet.sigstore import (
     FamilySignature,
     FormatVersionMismatch,
     SssBlacklist,
+    StoreError,
     StoreIOError,
     empty_store,
     insert_signature,
@@ -80,7 +85,7 @@ def test_index_matches_rebuild_after_random_inserts():
     store = empty_store()
     for i in range(40):
         store = insert_signature(store, FamilySignature(f"fam{i % 7}", (_single_cluster(rng),)))
-    rebuilt = rebuild_index(store)
+    rebuilt = rebuild_index(store.families)
     assert sorted(map(repr, store.index.range(0, 10**9))) == sorted(map(repr, rebuilt.range(0, 10**9)))
     store.index.audit()
 
@@ -177,3 +182,111 @@ def test_randomized_round_trips(tmp_path):
         path = tmp_path / f"s{trial}"
         save_store(store, path)
         assert load_store(path) == store
+
+
+def _sign(root, graph_rels) -> None:
+    """Write the checksum of ``store.json`` and the given graph files."""
+    crc = 0
+    for rel in ("store.json", *graph_rels):
+        crc = zlib.crc32(rel.encode() + b"\0" + (root / rel).read_bytes() + b"\0", crc)
+    (root / "store.crc").write_text(f"{crc:08x}\n")
+
+
+def _store_with_manifest(path, manifest) -> None:
+    """Write ``manifest`` over a saved one-family store and re-sign it, so
+    that only the manifest's content is wrong."""
+    save_store(insert_signature(empty_store(), FamilySignature(
+        "famA", (_single_cluster(random.Random(10)),))), path)
+    (path / "store.json").write_text(json.dumps(manifest))
+    _sign(path, ["graphs/famA/0.json"])
+
+
+def _good_manifest():
+    return {"format": 1, "version": 1, "blacklist": {"endpoints": [], "executables": []},
+            "families": [{"family_id": "famA", "graph_count": 1, "notes": ""}]}
+
+
+def test_resigned_manifest_round_trips(tmp_path):
+    _store_with_manifest(tmp_path / "s", _good_manifest())
+    assert load_store(tmp_path / "s").graph_count() == 1
+
+
+@pytest.mark.parametrize("breakage", [
+    lambda m: m["families"][0].pop("graph_count"),
+    lambda m: m.update(families=5),
+    lambda m: m["families"][0].update(graph_count="1"),
+    lambda m: m["families"][0].update(notes=7),
+    lambda m: m.pop("blacklist"),
+    lambda m: m["blacklist"].update(endpoints=[["x"]]),
+    lambda m: m.update(version=None),
+])
+def test_manifest_schema_errors_are_store_errors(tmp_path, breakage):
+    manifest = _good_manifest()
+    breakage(manifest)
+    _store_with_manifest(tmp_path / "s", manifest)
+    with pytest.raises(StoreError):
+        load_store(tmp_path / "s")
+
+
+@pytest.mark.parametrize("family_id", ["../x", "..", "a/b", "fam\n"])
+def test_load_rejects_unsafe_family_ids(tmp_path, family_id):
+    # The graph file the id points to exists and the checksum matches it.
+    root = tmp_path / "store" / "s"
+    manifest = _good_manifest()
+    manifest["families"][0]["family_id"] = family_id
+    _store_with_manifest(root, manifest)
+    target = root / "graphs" / family_id / "0.json"
+    target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_bytes((root / "graphs" / "famA" / "0.json").read_bytes())
+    _sign(root, [f"graphs/{family_id}/0.json"])
+    with pytest.raises(StoreError, match="unsafe"):
+        load_store(root)
+
+
+@pytest.mark.parametrize("family_id", ["..", ".hidden", "fam\n"])
+def test_insert_rejects_dot_and_newline_ids(family_id):
+    with pytest.raises(ValueError):
+        insert_signature(empty_store(), FamilySignature(family_id, (_single_cluster(random.Random(8)),)))
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=12), inner, max_size=4),
+    max_leaves=12,
+)
+_keys = ("format", "version", "families", "blacklist", "family_id", "graph_count", "notes",
+         "endpoints", "executables")
+
+
+def _mutate(manifest, data):
+    """Replace, delete or retype one value somewhere in ``manifest``."""
+    node = manifest
+    while True:
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        if not keys:
+            return
+        key = data.draw(st.sampled_from(keys))
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and data.draw(st.booleans()):
+            node = child
+            continue
+        if isinstance(node, dict) and data.draw(st.booleans()):
+            del node[key]
+        else:
+            node[key] = data.draw(_json | st.sampled_from(_keys))
+        return
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_manifest_fuzz_raises_only_store_errors(tmp_path_factory, data):
+    manifest = _good_manifest()
+    manifest["families"].append({"family_id": "famB", "graph_count": 0, "notes": "n"})
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(manifest, data)
+    path = tmp_path_factory.mktemp("fuzz") / "s"
+    _store_with_manifest(path, manifest)
+    try:
+        load_store(path)
+    except StoreError:
+        pass
