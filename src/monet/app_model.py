@@ -17,22 +17,12 @@ Text format (one file per app, UTF-8, ``#`` comments)::
     }
 
 Each block line is ``<id>: <instr>; ... -> <succ>,<succ>`` (the successor list
-may be empty).  Instruction forms::
-
-    v = this
-    v = class <class-name>
-    v = "literal"
-    i = intent(vc, vt)
-    i = intent_action(va)
-    start_activity(i) | start_service(i) | send_broadcast(i)
-    opaque <tag>
-    v = opaque <tag>
-    nop
-
-``v = opaque <tag>`` is the assigned form of ``opaque``: it defines a variable
-whose value static analysis cannot see (the model for encrypted strings,
-reflective class lookups and similar).  Block ids ``ENTRY`` and ``EXIT`` are
-reserved for the control-flow graph.
+may be empty).  The instruction forms are listed once, in ``_FORMS``: that
+table is the grammar's single definition, and the parser, the renderer and
+the validator are all derived from it.  ``v = opaque <tag>`` is the assigned
+form of ``opaque``: it defines a variable whose value static analysis cannot
+see (the model for encrypted strings, reflective class lookups and similar).
+Block ids ``ENTRY`` and ``EXIT`` are reserved for the control-flow graph.
 """
 
 from __future__ import annotations
@@ -133,34 +123,79 @@ def nop() -> Instruction:
 
 START_OPS = ("start_activity", "start_service", "send_broadcast")
 
-# op -> (#defs, #uses, has_arg); opaque is special-cased (0 or 1 defs).
-_ARITY = {
-    "assign_this": (1, 0, False),
-    "assign_class": (1, 0, True),
-    "assign_string": (1, 0, True),
-    "new_intent_explicit": (1, 2, False),
-    "new_intent_action": (1, 1, False),
-    "start_activity": (0, 1, False),
-    "start_service": (0, 1, False),
-    "send_broadcast": (0, 1, False),
-    "nop": (0, 0, False),
+# Every instruction form's text syntax: the grammar's single definition.
+# Fields: {d} a defined variable, {u} a used variable, {c} a class name,
+# {s} a string literal, {t} an opaque tag.  A form lists its defs, then its
+# uses, then its payload (the ``arg``); ``opaque`` has one form per def count.
+# Any whitespace may separate two tokens, and some must where two words meet.
+_FORMS = (
+    ("assign_this", "{d} = this"),
+    ("assign_class", "{d} = class {c}"),
+    ("assign_string", "{d} = {s}"),
+    ("new_intent_explicit", "{d} = intent({u}, {u})"),
+    ("new_intent_action", "{d} = intent_action({u})"),
+    ("start_activity", "start_activity({u})"),
+    ("start_service", "start_service({u})"),
+    ("send_broadcast", "send_broadcast({u})"),
+    ("opaque", "opaque {t}"),
+    ("opaque", "{d} = opaque {t}"),
+    ("nop", "nop"),
+)
+
+# field -> (pattern with one group, payload check)
+_FIELDS = {
+    "d": (f"({_VAR})", None),
+    "u": (f"({_VAR})", None),
+    "c": (f"({_CLASS})", CLASS_RE),
+    "s": (r'"((?:[^"\\]|\\.)*)"', None),
+    "t": (f"({_TAG})", TAG_RE),
 }
+_FIELD = re.compile(r"\{([ducst])\}")
+_SYNTAX_TOKEN = re.compile(rf"{_FIELD.pattern}|\w+|\S")
+
+
+@dataclass(frozen=True)
+class _Form:
+    op: str
+    n_defs: int
+    n_uses: int
+    payload: str | None  # the payload's field, if the form has one
+    check: re.Pattern[str] | None  # what a payload must match, if anything
+    pattern: re.Pattern[str]  # matches a stripped instruction segment
+    template: str  # printf-style template over (*defs, *uses, payload text)
+
+
+def _compile_form(op: str, syntax: str) -> _Form:
+    pattern, fields = [], ""
+    prev_word = None
+    for tok in _SYNTAX_TOKEN.finditer(syntax):
+        name, text = tok.group(1), tok.group()
+        word = bool(name) or text.isidentifier()
+        if prev_word is not None:
+            pattern.append(r"\s+" if prev_word and word else r"\s*")
+        prev_word = word
+        if name:
+            fields += name
+            pattern.append(_FIELDS[name][0])
+        else:
+            pattern.append(re.escape(text))
+    payload = fields[-1] if fields[-1:] in ("c", "s", "t") else None
+    template = _FIELD.sub(lambda m: '"%s"' if m.group(1) == "s" else "%s", syntax)
+    regex = re.compile("".join(pattern) + "$")
+    check = _FIELDS[payload][1] if payload else None
+    return _Form(op, fields.count("d"), fields.count("u"), payload, check, regex, template)
+
+
+_COMPILED_FORMS = tuple(_compile_form(op, syntax) for op, syntax in _FORMS)
+_FORM_OF = {(form.op, form.n_defs): form for form in _COMPILED_FORMS}
 
 
 def _check_instruction(instr: Instruction) -> None:
-    if instr.op == "opaque":
-        if len(instr.defs) > 1 or instr.uses or instr.arg is None or not TAG_RE.match(instr.arg):
-            raise ValueError(f"malformed opaque instruction: {instr}")
-    elif instr.op in _ARITY:
-        n_defs, n_uses, has_arg = _ARITY[instr.op]
-        if len(instr.defs) != n_defs or len(instr.uses) != n_uses:
-            raise ValueError(f"instruction arity mismatch: {instr}")
-        if has_arg != (instr.arg is not None):
-            raise ValueError(f"instruction arg mismatch: {instr}")
-        if instr.op == "assign_class" and not CLASS_RE.match(instr.arg or ""):
-            raise ValueError(f"bad class name in {instr}")
-    else:
-        raise ValueError(f"unknown op: {instr.op}")
+    form = _FORM_OF.get((instr.op, len(instr.defs)))
+    if form is None or len(instr.uses) != form.n_uses or (form.payload is None) != (instr.arg is None):
+        raise ValueError(f"instruction matches no form of its op: {instr}")
+    if form.check is not None and not form.check.match(instr.arg):
+        raise ValueError(f"bad payload in {instr}")
     for v in (*instr.defs, *instr.uses):
         if not VAR_RE.match(v):
             raise ValueError(f"bad variable name {v!r} in {instr}")
@@ -283,105 +318,53 @@ _COMP_LINE = re.compile(
 _METHOD_LINE = re.compile(rf"\s*method\s+({_CLASS})\s+({_VAR})\s*\{{\s*$")
 _BLOCK_HEAD = re.compile(rf"\s*({_VAR})\s*:")
 
-_INSTR_PATTERNS = (
-    (re.compile(r"nop$"), lambda m: nop()),
-    (re.compile(rf"opaque\s+({_TAG})$"), lambda m: opaque(m.group(1))),
-    (re.compile(rf"({_VAR})\s*=\s*opaque\s+({_TAG})$"), lambda m: opaque(m.group(2), m.group(1))),
-    (re.compile(rf"({_VAR})\s*=\s*this$"), lambda m: assign_this(m.group(1))),
-    (re.compile(rf"({_VAR})\s*=\s*class\s+({_CLASS})$"), lambda m: assign_class(m.group(1), m.group(2))),
-    (
-        re.compile(rf'({_VAR})\s*=\s*"((?:[^"\\]|\\.)*)"$'),
-        lambda m: assign_string(m.group(1), _unescape(m.group(2))),
-    ),
-    (
-        re.compile(rf"({_VAR})\s*=\s*intent\s*\(\s*({_VAR})\s*,\s*({_VAR})\s*\)$"),
-        lambda m: new_intent_explicit(m.group(1), m.group(2), m.group(3)),
-    ),
-    (
-        re.compile(rf"({_VAR})\s*=\s*intent_action\s*\(\s*({_VAR})\s*\)$"),
-        lambda m: new_intent_action(m.group(1), m.group(2)),
-    ),
-    (
-        re.compile(rf"(start_activity|start_service|send_broadcast)\s*\(\s*({_VAR})\s*\)$"),
-        lambda m: Instruction(m.group(1), uses=(m.group(2),)),
-    ),
-)
-
-
-def _unescape(s: str) -> str:
-    return s.replace('\\"', '"').replace("\\\\", "\\")
-
-
-def _escape(s: str) -> str:
-    return s.replace("\\", "\\\\").replace('"', '\\"')
+# One lexeme of a line: a string literal (the end of the line may cut off its
+# closing quote or an escaped character), the successor arrow, an instruction
+# separator or a comment.  Scanning for lexemes skips over literals, so they
+# may hold '#', ';' and '->'.
+_LEXEME = re.compile(r'"(?:[^"\\]|\\.?)*"?|->|[;#]', re.S)
 
 
 def _strip_comment(line: str) -> str:
-    in_string = False
-    i = 0
-    while i < len(line):
-        c = line[i]
-        if in_string:
-            if c == "\\":
-                i += 1
-            elif c == '"':
-                in_string = False
-        elif c == '"':
-            in_string = True
-        elif c == "#":
-            return line[:i]
-        i += 1
+    for m in _LEXEME.finditer(line):
+        if m.group() == "#":
+            return line[: m.start()]
     return line
 
 
 def _split_block_body(body: str, lineno: int, base_col: int) -> tuple[list[tuple[str, int]], str]:
     """Split ``instr; instr -> succs`` into instruction segments and the succ text.
 
-    Returns (segments-with-columns, succ_text).  Quote-aware so string
-    literals may contain ``;`` and ``->``.
+    Returns (segments-with-columns, succ_text).  ``body`` has no comment left.
     """
-    arrow = -1
     semis: list[int] = []
-    in_string = False
-    i = 0
-    while i < len(body):
-        c = body[i]
-        if in_string:
-            if c == "\\":
-                i += 1
-            elif c == '"':
-                in_string = False
-        elif c == '"':
-            in_string = True
-        elif c == ";":
-            semis.append(i)
-        elif c == "-" and body[i : i + 2] == "->":
-            arrow = i
+    for m in _LEXEME.finditer(body):
+        if m.group() == "->":
             break
-        i += 1
-    if arrow < 0:
+        if m.group() == ";":
+            semis.append(m.start())
+    else:
         raise PackageSyntaxError(lineno, base_col + len(body), "'->' successor list")
-    instr_region = body[:arrow]
-    succ_text = body[arrow + 2 :]
-    segments: list[tuple[str, int]] = []
-    start = 0
-    for pos in [*semis, arrow]:
-        segments.append((instr_region[start:pos] if pos <= arrow else "", start))
-        start = pos + 1
     out: list[tuple[str, int]] = []
-    for seg, off in segments:
+    for start, end in zip([0] + [p + 1 for p in semis], [*semis, m.start()]):
+        seg = body[start:end]
         if seg.strip():
-            out.append((seg.strip(), base_col + off + (len(seg) - len(seg.lstrip()))))
-        elif len(segments) > 1:
-            raise PackageSyntaxError(lineno, base_col + off, "instruction")
-    return out, succ_text
+            out.append((seg.strip(), base_col + start + (len(seg) - len(seg.lstrip()))))
+        elif semis:
+            raise PackageSyntaxError(lineno, base_col + start, "instruction")
+    return out, body[m.end() :]
 
 
 def _parse_instruction(text: str, lineno: int, col: int) -> Instruction:
-    for pattern, build in _INSTR_PATTERNS:
-        m = pattern.match(text)
+    for form in _COMPILED_FORMS:
+        m = form.pattern.match(text)
         if m:
-            return build(m)
+            values = m.groups()
+            arg = values[-1] if form.payload else None
+            if form.payload == "s":
+                arg = arg.replace('\\"', '"').replace("\\\\", "\\")
+            uses = values[form.n_defs : form.n_defs + form.n_uses]
+            return Instruction(form.op, arg, values[: form.n_defs], uses)
     raise PackageSyntaxError(lineno, col, "instruction")
 
 
@@ -412,13 +395,9 @@ def parse_package(text: str) -> AppPackage:
         m = _COMP_LINE.match(line)
         if m:
             kind, name, filters_text = m.group(1), m.group(2), m.group(3)
-            filters: tuple[str, ...] = ()
-            if filters_text:
-                parts = filters_text.split(",")
-                for p in parts:
-                    if not CLASS_RE.match(p):
-                        raise PackageSyntaxError(lineno, line.find(filters_text), "action string")
-                filters = tuple(parts)
+            filters = tuple(filters_text.split(",")) if filters_text else ()
+            if not all(CLASS_RE.match(p) for p in filters):
+                raise PackageSyntaxError(lineno, line.find(filters_text), "action string")
             components.append(ComponentDecl(name, kind, filters))
             continue
         m = _METHOD_LINE.match(line)
@@ -448,13 +427,9 @@ def parse_package(text: str) -> AppPackage:
                 seen_blocks.add(bid)
                 segments, succ_text = _split_block_body(raw[bm.end() :], body_lineno, bm.end())
                 instrs = tuple(_parse_instruction(seg, body_lineno, col) for seg, col in segments)
-                succs: list[str] = []
-                if succ_text.strip():
-                    for part in succ_text.strip().split(","):
-                        part = part.strip()
-                        if not VAR_RE.match(part):
-                            raise PackageSyntaxError(body_lineno, raw.find(succ_text), "block id")
-                        succs.append(part)
+                succs = [part.strip() for part in succ_text.split(",")] if succ_text.strip() else []
+                if not all(VAR_RE.match(s) for s in succs):
+                    raise PackageSyntaxError(body_lineno, raw.find(succ_text), "block id")
                 blocks.append((bid, instrs))
                 edges.extend((bid, s) for s in succs)
             if not closed:
@@ -485,26 +460,11 @@ def parse_package(text: str) -> AppPackage:
 
 
 def _render_instruction(instr: Instruction) -> str:
-    op = instr.op
-    if op == "nop":
-        return "nop"
-    if op == "opaque":
-        if instr.defs:
-            return f"{instr.defs[0]} = opaque {instr.arg}"
-        return f"opaque {instr.arg}"
-    if op == "assign_this":
-        return f"{instr.defs[0]} = this"
-    if op == "assign_class":
-        return f"{instr.defs[0]} = class {instr.arg}"
-    if op == "assign_string":
-        return f'{instr.defs[0]} = "{_escape(instr.arg or "")}"'
-    if op == "new_intent_explicit":
-        return f"{instr.defs[0]} = intent({instr.uses[0]}, {instr.uses[1]})"
-    if op == "new_intent_action":
-        return f"{instr.defs[0]} = intent_action({instr.uses[0]})"
-    if op in START_OPS:
-        return f"{op}({instr.uses[0]})"
-    raise ValueError(f"unknown op: {op}")
+    form = _FORM_OF[instr.op, len(instr.defs)]
+    if form.payload is None:
+        return form.template % (*instr.defs, *instr.uses)
+    arg = instr.arg.replace("\\", "\\\\").replace('"', '\\"') if form.payload == "s" else instr.arg
+    return form.template % (*instr.defs, *instr.uses, arg)
 
 
 def render_package(pkg: AppPackage) -> str:

@@ -207,7 +207,10 @@ def graph_from_json_obj(obj) -> BehaviorGraph:
         for n in obj["nodes"]:
             ntype, label = n["type"], n["label"]
             if ntype == "app":
-                node: GraphNode = AppComponent(label, n.get("kind"))
+                kind = n.get("kind")
+                if not isinstance(kind, (str, type(None))):
+                    raise CorruptGraph(f"node kind must be a string: {kind!r}")
+                node: GraphNode = AppComponent(label, kind)
             elif ntype == "system":
                 node = SystemComponent(label)
             elif ntype == "action":
@@ -227,8 +230,12 @@ def graph_from_json_obj(obj) -> BehaviorGraph:
         raise CorruptGraph("duplicate node ids")
     edges: dict[EdgeKey, str | None] = {}
     for src, dst, code, content in edge_items:
+        if not isinstance(src, str) or not isinstance(dst, str):
+            raise CorruptGraph(f"edge endpoints must be strings: {src!r} -> {dst!r}")
         if not isinstance(code, int) or isinstance(code, bool):
             raise CorruptGraph(f"edge code must be an integer: {code!r}")
+        if not isinstance(content, (str, type(None))):
+            raise CorruptGraph(f"edge content must be a string: {content!r}")
         key = (src, dst, code)
         if key in edges:
             raise CorruptGraph(f"duplicate edge {key}")

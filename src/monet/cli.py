@@ -42,7 +42,7 @@ from .sigstore import (
     load_store,
     save_store,
 )
-from .trace import Sss, TraceError, build_sss, parse_trace
+from .trace import Sss, TraceError, build_sss, parse_trace, sss_from_json_obj
 
 EXIT_OK = 0
 EXIT_MALICIOUS = 1
@@ -133,8 +133,8 @@ def _cmd_sign(args) -> int:
     if args.blacklist:
         from .sigstore import merge_blacklist
 
-        obj = json.loads(_read(args.blacklist))
-        store = merge_blacklist(store, obj.get("endpoints", ()), obj.get("executables", ()))
+        blacklist = sss_from_json_obj(json.loads(_read(args.blacklist)))
+        store = merge_blacklist(store, blacklist.endpoints, blacklist.executables)
     save_store(store, store_dir)
     print(f"store version {store.version}: {store.graph_count()} graphs "
           f"in {len(store.families)} families", file=sys.stderr)
@@ -144,11 +144,7 @@ def _cmd_sign(args) -> int:
 def _cmd_match(args) -> int:
     store = load_store(args.store)
     rbg = graph_from_json(_read(args.rbg))
-    if args.sss:
-        obj = json.loads(_read(args.sss))
-        sss = Sss(frozenset(obj.get("endpoints", ())), frozenset(obj.get("executables", ())))
-    else:
-        sss = Sss()
+    sss = sss_from_json_obj(json.loads(_read(args.sss))) if args.sss else Sss()
     signature = RuntimeBehaviorSignature(app=args.app, rbg=rbg, sss=sss)
     verdict = decide(signature, store, args.threshold, args.mode, args.alpha)
     print(json.dumps(verdict.to_json_obj(), sort_keys=True))

@@ -41,13 +41,19 @@ from .sigstore import (
     insert_signature,
     load_store,
 )
-from .trace import Sss
+from .trace import sss_from_json_obj
 
 log = logging.getLogger(__name__)
 
+MAX_BODY_BYTES = 16 * 1024 * 1024
+
 
 class BadRequest(Exception):
-    pass
+    status = 400
+
+
+class PayloadTooLarge(BadRequest):
+    status = 413
 
 
 def _parse_signature(obj) -> RuntimeBehaviorSignature:
@@ -62,14 +68,11 @@ def _parse_signature(obj) -> RuntimeBehaviorSignature:
         raise BadRequest(f"signature.rbg: {exc}") from exc
     if rbg.origin != "runtime":
         raise BadRequest("signature.rbg must have runtime origin")
-    sss_obj = obj.get("sss", {})
-    if not isinstance(sss_obj, dict):
-        raise BadRequest("signature.sss must be an object")
-    endpoints = sss_obj.get("endpoints", [])
-    executables = sss_obj.get("executables", [])
-    if not all(isinstance(x, str) for x in [*endpoints, *executables]):
-        raise BadRequest("signature.sss entries must be strings")
-    return RuntimeBehaviorSignature(app, rbg, Sss(frozenset(endpoints), frozenset(executables)))
+    try:
+        sss = sss_from_json_obj(obj.get("sss", {}))
+    except ValueError as exc:
+        raise BadRequest(f"signature.sss: {exc}") from exc
+    return RuntimeBehaviorSignature(app, rbg, sss)
 
 
 def _parse_family(obj) -> FamilySignature:
@@ -141,6 +144,9 @@ class DetectionService:
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # Seconds a socket read or write may wait, so that a client which stops
+    # sending (say, a body shorter than its Content-Length) frees its thread.
+    timeout = 30
 
     def log_message(self, fmt, *args):  # route access logs through logging
         log.debug("%s %s", self.address_string(), fmt % args)
@@ -162,6 +168,9 @@ class _Handler(BaseHTTPRequestHandler):
             # next request on this connection.
             self.close_connection = True
             raise BadRequest("Content-Length must be a non-negative integer")
+        if int(text) > MAX_BODY_BYTES:
+            self.close_connection = True  # the unread body would frame the next request
+            raise PayloadTooLarge(f"body exceeds {MAX_BODY_BYTES} bytes")
         raw = self.rfile.read(int(text))
         try:
             return json.loads(raw)
@@ -184,7 +193,9 @@ class _Handler(BaseHTTPRequestHandler):
             else:
                 self._send(404, {"error": "not found"})
         except BadRequest as exc:
-            self._send(400, {"error": str(exc)})
+            self._send(exc.status, {"error": str(exc)})
+        except TimeoutError:
+            raise  # a stalled client: handle_one_request drops the connection, no reply
         except Exception as exc:  # malformed input must never kill the server
             log.exception("internal error handling %s", self.path)
             self._send(500, {"error": f"internal error: {exc}"})

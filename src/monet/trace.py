@@ -177,6 +177,22 @@ def normalize_endpoint(detail: str) -> str:
     return host.lower() + ":" + port
 
 
+def sss_from_json_obj(obj) -> Sss:
+    """The SSS of ``{"endpoints"?, "executables"?}``, each a list of strings.
+
+    Raises ``ValueError`` on anything else.  Endpoints are taken verbatim.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError("SSS must be an object")
+    parts = []
+    for key in ("endpoints", "executables"):
+        items = obj.get(key, [])
+        if not isinstance(items, list) or not all(isinstance(x, str) for x in items):
+            raise ValueError(f"SSS {key!r} must be a list of strings")
+        parts.append(frozenset(items))
+    return Sss(*parts)
+
+
 def build_sss(trace: TraceLog) -> Sss:
     """Distinct socket endpoints (host lowercased) and execve paths."""
     endpoints = frozenset(

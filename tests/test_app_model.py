@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +26,7 @@ from monet.app_model import (
     send_broadcast,
     validate_package,
 )
+from monet.corpus import TransformOp, apply_transform, generate_family
 
 
 def test_minimal_package_one_activity_empty_method():
@@ -215,3 +219,71 @@ def test_random_round_trip(pkg):
     assert parse_package(text) == pkg
     # rendering is canonical: a second round trip is byte-identical
     assert render_package(parse_package(text)) == text
+
+
+# --- pinned parse outcomes ---------------------------------------------------
+
+_EDGE_PACKAGE = (
+    "package com.a\n"
+    "component activity com.a.M filters x.y,z\n"
+    "component service com.a.S\n"
+    "method com.a.M f {{\n"
+    "  b0: {line}\n"
+    "  b1: nop ->\n"
+    "}}\n"
+)
+_EDGE_LINES = (
+    'v = "abc -> b1',  # unterminated literal
+    'v = "abc\\',  # unterminated, trailing backslash
+    'v = "a\\\\" -> b1',  # literal ending in an escaped backslash
+    'v = "a # b"; nop -> b1 # comment',
+    'v = "x -> y; z" -> b1',
+    'v = "esc \\" q"; w = "" -> b1',
+    "; nop -> b1",
+    "nop; ; nop -> b1",
+    "zap; ; nop -> b1",
+    "nop; -> b1",
+    "->",
+    "nop -> b1 b1",
+    "nop --> b1, b1",
+    "v = intent ( a , b ) ; start_activity( v ) ; opaque a.b:c-d ; t = opaque x -> b1",
+    "v = class com.x.Y; w = this; i = intent_action(v); send_broadcast(i); start_service(i) -> b1,b1",
+    'v="a"->b1',
+)
+_MUTATION_ALPHABET = 'ab c"\\;->#x.0{}:=(),'
+PINNED_PARSE_SHA256 = "dea7bc05248082389fa94cccb65c84d12a10a22d405c26f0aeac059e55b11268"
+
+
+def _parse_outcome(text: str) -> str:
+    try:
+        return render_package(parse_package(text))
+    except Exception as exc:  # every failure mode is part of the outcome
+        where = (getattr(exc, "line", None), getattr(exc, "col", None), getattr(exc, "expected", None))
+        return repr((type(exc).__name__, *where, str(exc)))
+
+
+def test_parse_outcomes_are_pinned():
+    """Every input parses to the same package or fails at the same place:
+    generated apps and hand-written edge lines, each also with seeded
+    single-character insertions, deletions and replacements."""
+    bases = [render_package(generate_family(seed).base_pkg) for seed in range(2)]
+    bases.append(render_package(apply_transform(generate_family(2), TransformOp(3), seed=1)[0]))
+    bases.extend(_EDGE_PACKAGE.format(line=line) for line in _EDGE_LINES)
+    rng = random.Random(20261018)
+    inputs = list(bases)
+    while len(inputs) < 1500:
+        text = rng.choice(bases)
+        pos = rng.randrange(len(text) + 1)
+        edit = rng.randrange(3)
+        char = rng.choice(_MUTATION_ALPHABET)
+        if edit == 0:
+            inputs.append(text[:pos] + char + text[pos:])
+        elif edit == 1:
+            inputs.append(text[:pos] + text[pos + 1 :])
+        else:
+            inputs.append(text[:pos] + char + text[pos + 1 :])
+    digest = hashlib.sha256()
+    for text in inputs:
+        digest.update(_parse_outcome(text).encode())
+        digest.update(b"\0")
+    assert digest.hexdigest() == PINNED_PARSE_SHA256

@@ -156,6 +156,34 @@ def test_malformed_store_manifest_is_a_data_error(tmp_path, capsys):
     assert "monet:" in capsys.readouterr().err
 
 
+MALFORMED_SSS = ['{"endpoints": 5}', '{"executables": "abc"}', '["a:1"]']
+
+
+@pytest.mark.parametrize("sss_text", MALFORMED_SSS)
+def test_match_rejects_malformed_sss_file(tmp_path, capsys, sss_text):
+    graph_file = tmp_path / "mal.json"
+    graph_file.write_text(graph_to_json(malicious_graph(generate_family(43))))
+    store_dir = tmp_path / "store"
+    assert main(["sign", "--family", "famZ", "--rbg", str(graph_file),
+                 "--store", str(store_dir)]) == 0
+    (tmp_path / "sss.json").write_text(sss_text)
+    assert main(["match", "--store", str(store_dir), "--rbg", str(graph_file),
+                 "--sss", str(tmp_path / "sss.json")]) == 3
+    assert "monet:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("blacklist_text", MALFORMED_SSS)
+def test_sign_rejects_malformed_blacklist_file(tmp_path, capsys, blacklist_text):
+    graph_file = tmp_path / "mal.json"
+    graph_file.write_text(graph_to_json(malicious_graph(generate_family(43))))
+    (tmp_path / "bl.json").write_text(blacklist_text)
+    store_dir = tmp_path / "store"
+    assert main(["sign", "--family", "famZ", "--rbg", str(graph_file),
+                 "--store", str(store_dir), "--blacklist", str(tmp_path / "bl.json")]) == 3
+    assert not (store_dir / "store.json").exists()
+    assert "monet:" in capsys.readouterr().err
+
+
 def test_debug_dataflow_dump(workdir, tmp_path):
     dump = tmp_path / "df.json"
     assert main(["sbg", str(workdir / "app.mir"), "-o", str(tmp_path / "g.json"),

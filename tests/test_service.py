@@ -16,7 +16,7 @@ from monet.corpus import (
 )
 from monet.matcher import RuntimeBehaviorSignature, decide
 from monet.pipeline import signature_of
-from monet.service import DetectionService
+from monet.service import MAX_BODY_BYTES, BadRequest, DetectionService
 from monet.sigstore import (
     StoreError,
     empty_store,
@@ -116,6 +116,24 @@ def _raw_post(addr, content_length: str) -> bytes:
     return reply
 
 
+def test_short_body_is_dropped_after_socket_timeout(monkeypatch, caplog):
+    monkeypatch.setattr("monet.service._Handler.timeout", 0.2)
+    store, _ = small_store(1)
+    with running_server(store) as addr:
+        assert _raw_post(addr, "10") == b""  # 2 of 10 bytes sent: closed, no reply
+        status, _ = http_json(addr, "GET", "/v1/health")
+        assert status == 200
+    assert "Traceback" not in caplog.text and "internal error" not in caplog.text
+
+
+def test_oversized_body_gets_413_and_close():
+    store, _ = small_store(1)
+    with running_server(store) as addr:
+        reply = _raw_post(addr, str(MAX_BODY_BYTES + 1))
+        assert reply.startswith(b"HTTP/1.1 413 ")
+        assert b"Connection: close" in reply
+
+
 @pytest.mark.parametrize("content_length", ["abc", "-1"])
 def test_bad_content_length_gets_400(content_length, caplog):
     store, _ = small_store(1)
@@ -182,6 +200,38 @@ def test_insert_rejects_undecoupled_graph():
     with running_server(store) as addr:
         status, resp = http_json(addr, "POST", "/v1/signatures", body)
     assert status == 400
+
+
+def test_match_with_non_string_edge_endpoint_is_rejected():
+    store, templates = small_store(1)
+    body = signature_body(signature_of(templates[0].base_pkg, templates[0].base_trace))
+    edge = body["signature"]["rbg"]["edges"][0]
+    edge["src"] = [edge["src"]]
+    with pytest.raises(BadRequest):
+        DetectionService(store).handle_match(body)
+
+
+@pytest.mark.parametrize("where", ["kind", "content"])
+def test_insert_with_non_string_kind_or_content_is_rejected(where):
+    store, _ = small_store(1)
+    graph = graph_to_json_obj(malicious_graph(generate_family(77)))
+    if where == "kind":
+        next(n for n in graph["nodes"] if n["type"] == "app")["kind"] = ["x"]
+    else:
+        graph["edges"][0]["content"] = ["x"]
+    service = DetectionService(store)
+    with pytest.raises(BadRequest):
+        service.handle_insert({"family_id": "famX", "graphs": [graph]})
+    assert service.store.version == store.version
+
+
+@pytest.mark.parametrize("sss", [{"endpoints": 5}, {"executables": "abc"}])
+def test_malformed_sss_is_rejected(sss):
+    store, templates = small_store(1)
+    body = signature_body(signature_of(templates[0].base_pkg, templates[0].base_trace))
+    body["signature"]["sss"] = sss
+    with pytest.raises(BadRequest):
+        DetectionService(store).handle_match(body)
 
 
 def test_concurrent_requests_match_serial_results():
