@@ -36,9 +36,9 @@ _VAR = r"[A-Za-z_][A-Za-z0-9_]*"
 _CLASS = r"[A-Za-z_$][A-Za-z0-9_$.]*"
 _TAG = r"[A-Za-z0-9_$./:-]+"
 
-VAR_RE = re.compile(rf"{_VAR}$")
-CLASS_RE = re.compile(rf"{_CLASS}$")
-TAG_RE = re.compile(rf"{_TAG}$")
+VAR_RE = re.compile(rf"{_VAR}\Z")
+CLASS_RE = re.compile(rf"{_CLASS}\Z")
+TAG_RE = re.compile(rf"{_TAG}\Z")
 
 RESERVED_BLOCK_IDS = ("ENTRY", "EXIT")
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 from pathlib import Path
 
@@ -152,11 +151,7 @@ def _cmd_match(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    store_path = os.environ.get("MONET_STORE") or args.store
-    if not store_path:
-        print("serve: --store or MONET_STORE is required", file=sys.stderr)
-        return EXIT_USAGE
-    service.serve(store_path, args.listen, args.threshold, args.alpha)
+    service.serve(args.store, args.listen, args.threshold, args.alpha)
     return EXIT_OK
 
 
@@ -227,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_match)
 
     p = sub.add_parser("serve", help="run the detection server")
-    p.add_argument("--store", help="store directory (MONET_STORE overrides)")
+    p.add_argument("--store", required=True, help="store directory")
     p.add_argument("--listen", default="127.0.0.1:8743")
     p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
     p.add_argument("--alpha", type=int, default=DEFAULT_ALPHA)

@@ -10,6 +10,9 @@ worklist seeded in reverse post-order.  The fixpoint satisfies
 Worst case the worklist revisits every block once per changed predecessor,
 an O(n^2) bound on set-union passes for n blocks; reducible graphs converge
 in a couple of sweeps thanks to the reverse post-order seeding.
+
+Intent calls are resolved by one use-def query per link of the chains in
+:data:`INTENT_CHAINS`: start-call to constructor, constructor to each operand.
 """
 
 from __future__ import annotations
@@ -165,15 +168,12 @@ def reaching_definitions(cfg: Cfg) -> DefSets:
     return DefSets(gen=gen, kill=kill, in_=in_, out=out)
 
 
-def defs_at(cfg: Cfg, sets: DefSets, block: str, index: int) -> frozenset[DefId]:
-    """Definitions reaching the program point just before ``blocks[block][index]``."""
-    live = set(sets.in_[block])
-    for idx in range(index):
-        instr = cfg.blocks[block][idx]
-        for var in instr.defs:
-            live = {d for d in live if d.var != var}
-            live.add(DefId(block, idx, var))
-    return frozenset(live)
+def defs_at(cfg: Cfg, sets: DefSets, block: str, index: int, var: str) -> frozenset[DefId]:
+    """Definitions of ``var`` reaching the point just before ``blocks[block][index]``."""
+    for idx in range(index - 1, -1, -1):
+        if var in cfg.blocks[block][idx].defs:
+            return frozenset({DefId(block, idx, var)})
+    return frozenset(d for d in sets.in_[block] if d.var == var)
 
 
 def definition_reaches(cfg: Cfg, def_id: DefId, block: str, index: int) -> bool:
@@ -222,79 +222,49 @@ class IntentCall:
     witness: tuple[DefId, ...] = ()
 
 
+# Intent constructor op -> (target kind, the op that must define each operand).
+# The target is the payload of the last operand's definition.
+INTENT_CHAINS: dict[str, tuple[str, tuple[str, ...]]] = {
+    "new_intent_explicit": ("explicit", ("assign_this", "assign_class")),
+    "new_intent_action": ("implicit", ("assign_string",)),
+}
+
+
 def _single_def(
     cfg: Cfg, sets: DefSets, var: str, block: str, index: int
 ) -> tuple[DefId, Instruction] | None:
-    candidates = [d for d in defs_at(cfg, sets, block, index) if d.var == var]
-    if len(candidates) != 1:
+    reaching = defs_at(cfg, sets, block, index, var)
+    if len(reaching) != 1:
         return None
-    d = candidates[0]
+    (d,) = reaching
     return d, cfg.blocks[d.block][d.index]
 
 
-def extract_intent_calls(
-    component: ComponentDecl, method: MethodIR, cfg: Cfg, sets: DefSets
-) -> list[IntentCall]:
-    """Resolve each start-call site by chasing reaching definitions.
+def _resolve(component: str, cfg: Cfg, sets: DefSets, start: Instruction, block: str, index: int) -> IntentCall:
+    """The start-call at (block, index), resolved if every link of its chain has one definition."""
+    unresolved = IntentCall(component, start.op, "unresolved", None, (block, index))
+    found = _single_def(cfg, sets, start.uses[0], block, index)
+    if found is None or found[1].op not in INTENT_CHAINS:
+        return unresolved
+    intent_def, ctor = found
+    kind, operand_ops = INTENT_CHAINS[ctor.op]
+    witness = [intent_def]
+    for var, op in zip(ctor.uses, operand_ops):
+        found = _single_def(cfg, sets, var, intent_def.block, intent_def.index)
+        if found is None or found[1].op != op:
+            return unresolved
+        witness.append(found[0])
+    return IntentCall(component, start.op, kind, found[1].arg, (block, index), tuple(witness))
 
-    Follows the intent variable to its constructor and the constructor
-    operands to their defining assignments.  Any opaque or ambiguous link
-    makes the call unresolved; no exception is ever raised.
-    """
-    calls: list[IntentCall] = []
-    for bid, instrs in cfg.blocks.items():
-        for idx, instr in enumerate(instrs):
-            if instr.op not in START_OPS:
-                continue
 
-            def unresolved() -> IntentCall:
-                return IntentCall(component.name, instr.op, "unresolved", None, (bid, idx))
-
-            found = _single_def(cfg, sets, instr.uses[0], bid, idx)
-            if found is None:
-                calls.append(unresolved())
-                continue
-            intent_def, ctor = found
-            if ctor.op == "new_intent_explicit":
-                caller_var, target_var = ctor.uses
-                caller = _single_def(cfg, sets, caller_var, intent_def.block, intent_def.index)
-                target = _single_def(cfg, sets, target_var, intent_def.block, intent_def.index)
-                if (
-                    caller is None
-                    or target is None
-                    or caller[1].op != "assign_this"
-                    or target[1].op != "assign_class"
-                ):
-                    calls.append(unresolved())
-                    continue
-                calls.append(
-                    IntentCall(
-                        component.name,
-                        instr.op,
-                        "explicit",
-                        target[1].arg,
-                        (bid, idx),
-                        witness=(intent_def, caller[0], target[0]),
-                    )
-                )
-            elif ctor.op == "new_intent_action":
-                action = _single_def(cfg, sets, ctor.uses[0], intent_def.block, intent_def.index)
-                if action is None or action[1].op != "assign_string":
-                    calls.append(unresolved())
-                    continue
-                calls.append(
-                    IntentCall(
-                        component.name,
-                        instr.op,
-                        "implicit",
-                        action[1].arg,
-                        (bid, idx),
-                        witness=(intent_def, action[0]),
-                    )
-                )
-            else:
-                calls.append(unresolved())
-    return calls
+def extract_intent_calls(component: ComponentDecl, cfg: Cfg, sets: DefSets) -> list[IntentCall]:
+    """Resolve every start-call site; an opaque or ambiguous link leaves it unresolved."""
+    return [
+        _resolve(component.name, cfg, sets, instr, bid, idx)
+        for bid, instrs in cfg.blocks.items()
+        for idx, instr in enumerate(instrs)
+        if instr.op in START_OPS
+    ]
 
 
 def witness_supports(cfg: Cfg, call: IntentCall) -> bool:

@@ -288,7 +288,7 @@ def similarity(g1: BehaviorGraph, g2: BehaviorGraph, floor=0) -> SimilarityScore
 # ---------------------------------------------------------------------------
 
 
-def match_sss(suspect: Sss, blacklist) -> list[str]:
+def match_sss(suspect: Sss, blacklist: Sss) -> list[str]:
     """Exact-string intersection with the blacklist, sorted for determinism."""
     hits = sorted(suspect.endpoints & blacklist.endpoints)
     hits += sorted(suspect.executables & blacklist.executables)

@@ -16,7 +16,7 @@ def intent_calls(pkg: AppPackage) -> list[IntentCall]:
         for method in pkg.methods.get(comp.name, ()):
             cfg = build_cfg(method)
             sets = reaching_definitions(cfg)
-            calls.extend(extract_intent_calls(comp, method, cfg, sets))
+            calls.extend(extract_intent_calls(comp, cfg, sets))
     return calls
 
 

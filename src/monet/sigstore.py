@@ -26,7 +26,7 @@ from pathlib import Path
 from .behavior_graph import BehaviorGraph, CorruptGraph, graph_from_json, graph_to_json, is_decoupled
 from .bptree import BplusIndex
 from .matcher import DEFAULT_ALPHA, NotDecoupled
-from .trace import normalize_endpoint
+from .trace import Sss
 
 FORMAT_VERSION = 1
 
@@ -60,19 +60,6 @@ class FamilySignature:
 
 
 @dataclass(frozen=True)
-class SssBlacklist:
-    endpoints: frozenset[str] = frozenset()
-    executables: frozenset[str] = frozenset()
-
-    @classmethod
-    def of(cls, endpoints=(), executables=()) -> "SssBlacklist":
-        return cls(
-            frozenset(normalize_endpoint(e) for e in endpoints),
-            frozenset(executables),
-        )
-
-
-@dataclass(frozen=True)
 class GraphRef:
     family_id: str
     ordinal: int
@@ -81,7 +68,7 @@ class GraphRef:
 @dataclass(frozen=True)
 class SignatureStore:
     families: dict[str, FamilySignature] = field(default_factory=dict)
-    blacklist: SssBlacklist = SssBlacklist()
+    blacklist: Sss = Sss()
     index: BplusIndex = field(default_factory=BplusIndex)
     version: int = 0
 
@@ -114,7 +101,7 @@ def insert_signature(store: SignatureStore, family: FamilySignature) -> Signatur
     """Add (or merge into) a family; returns a new store snapshot.
 
     Graphs must each be a single decoupled app cluster; duplicates within the
-    family (by canonical serialization) are dropped, so re-inserting the same
+    family (by graph equality) are dropped, so re-inserting the same
     family is idempotent up to the version counter.
     """
     if not _FAMILY_ID_RE.fullmatch(family.family_id):
@@ -127,13 +114,10 @@ def insert_signature(store: SignatureStore, family: FamilySignature) -> Signatur
 
     existing = store.families.get(family.family_id)
     kept = list(existing.graphs) if existing else []
-    seen = {graph_to_json(g) for g in kept}
     index = store.index
     for g in family.graphs:
-        blob = graph_to_json(g)
-        if blob in seen:
+        if g in kept:
             continue
-        seen.add(blob)
         index = index.insert(g.app_count, GraphRef(family.family_id, len(kept)))
         kept.append(g)
 
@@ -144,10 +128,7 @@ def insert_signature(store: SignatureStore, family: FamilySignature) -> Signatur
 
 
 def merge_blacklist(store: SignatureStore, endpoints=(), executables=()) -> SignatureStore:
-    bl = SssBlacklist(
-        store.blacklist.endpoints | frozenset(normalize_endpoint(e) for e in endpoints),
-        store.blacklist.executables | frozenset(executables),
-    )
+    bl = Sss(store.blacklist.endpoints.union(endpoints), store.blacklist.executables.union(executables))
     return SignatureStore(dict(store.families), bl, store.index, store.version + 1)
 
 
@@ -219,7 +200,7 @@ def save_store(store: SignatureStore, path) -> None:
         raise StoreIOError(f"cannot write store at {root}: {exc}") from exc
 
 
-def _manifest_schema(manifest) -> tuple[list[tuple[str, int, str]], SssBlacklist, int]:
+def _manifest_schema(manifest) -> tuple[list[tuple[str, int, str]], Sss, int]:
     """(family id, graph count, notes) entries, blacklist and version of a
     decoded manifest; any deviation from the schema is a :class:`StoreError`."""
 
@@ -246,7 +227,7 @@ def _manifest_schema(manifest) -> tuple[list[tuple[str, int, str]], SssBlacklist
             "blacklist endpoints and executables must be lists of strings")
     version = manifest.get("version")
     require(type(version) is int and version >= 0, f"bad version {version!r}")
-    return entries, SssBlacklist(frozenset(endpoints), frozenset(executables)), version
+    return entries, Sss(endpoints, executables), version
 
 
 def load_store(path) -> SignatureStore:

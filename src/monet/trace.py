@@ -76,10 +76,18 @@ class TraceLog:
 
 @dataclass(frozen=True)
 class Sss:
-    """Suspicious system-call set: socket endpoints and executed binaries."""
+    """Suspicious system-call set: socket endpoints and executed binaries.
+
+    Also the store's blacklist.  Any iterables are accepted and kept as
+    frozensets, with every endpoint's host lowercased (:func:`normalize_endpoint`).
+    """
 
     endpoints: frozenset[str] = frozenset()
     executables: frozenset[str] = frozenset()
+
+    def __post_init__(self):
+        object.__setattr__(self, "endpoints", frozenset(map(normalize_endpoint, self.endpoints)))
+        object.__setattr__(self, "executables", frozenset(self.executables))
 
 
 def _require(cond: bool, line: int, reason: str) -> None:
@@ -180,7 +188,7 @@ def normalize_endpoint(detail: str) -> str:
 def sss_from_json_obj(obj) -> Sss:
     """The SSS of ``{"endpoints"?, "executables"?}``, each a list of strings.
 
-    Raises ``ValueError`` on anything else.  Endpoints are taken verbatim.
+    Raises ``ValueError`` on anything else.
     """
     if not isinstance(obj, dict):
         raise ValueError("SSS must be an object")
@@ -189,14 +197,12 @@ def sss_from_json_obj(obj) -> Sss:
         items = obj.get(key, [])
         if not isinstance(items, list) or not all(isinstance(x, str) for x in items):
             raise ValueError(f"SSS {key!r} must be a list of strings")
-        parts.append(frozenset(items))
+        parts.append(items)
     return Sss(*parts)
 
 
 def build_sss(trace: TraceLog) -> Sss:
-    """Distinct socket endpoints (host lowercased) and execve paths."""
-    endpoints = frozenset(
-        normalize_endpoint(r.detail) for r in trace.syscalls if r.call == "socket"
-    )
-    executables = frozenset(r.detail for r in trace.syscalls if r.call == "execve")
+    """Distinct socket endpoints and execve paths."""
+    endpoints = [r.detail for r in trace.syscalls if r.call == "socket"]
+    executables = [r.detail for r in trace.syscalls if r.call == "execve"]
     return Sss(endpoints, executables)

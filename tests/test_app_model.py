@@ -81,6 +81,21 @@ def test_syntax_errors(bad):
         parse_package(bad)
 
 
+@pytest.mark.parametrize(
+    "method",
+    [
+        lambda: make_method("m", [("b0", [assign_class("v", "com.a.B\n")])], []),
+        lambda: make_method("m", [("b0", [opaque("tag\n", "v")])], []),
+        lambda: make_method("m", [("b0", [assign_this("v\n")])], []),
+        lambda: make_method("m", [("b0\n", [nop()])], []),
+        lambda: make_method("m\n", [("b0", [nop()])], []),
+    ],
+)
+def test_names_with_a_trailing_newline_are_rejected(method):
+    with pytest.raises(ValueError):
+        method()
+
+
 def test_reserved_block_ids_rejected():
     src = "package com.a\ncomponent activity com.a.M\nmethod com.a.M f {\n  ENTRY: nop ->\n}\n"
     with pytest.raises(PackageSyntaxError):

@@ -184,6 +184,11 @@ def test_sign_rejects_malformed_blacklist_file(tmp_path, capsys, blacklist_text)
     assert "monet:" in capsys.readouterr().err
 
 
+def test_serve_without_store_is_a_usage_error(capsys):
+    assert main(["serve"]) == 2
+    assert "--store" in capsys.readouterr().err
+
+
 def test_debug_dataflow_dump(workdir, tmp_path):
     dump = tmp_path / "df.json"
     assert main(["sbg", str(workdir / "app.mir"), "-o", str(tmp_path / "g.json"),

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 from monet.app_model import (
@@ -10,8 +11,11 @@ from monet.app_model import (
     new_intent_explicit,
     opaque,
     nop,
+    send_broadcast,
     start_activity,
+    start_service,
 )
+from monet.corpus import InapplicableTransform, SizeParams, TransformOp, apply_transform, generate_family
 from monet.dataflow import (
     ENTRY,
     EXIT,
@@ -131,7 +135,7 @@ def test_worklist_equals_chaotic_oracle():
 def _calls_for(instr_blocks, edges=()):
     m = make_method("m", instr_blocks, edges)
     cfg, sets = analyze(m)
-    return extract_intent_calls(COMP, m, cfg, sets), cfg
+    return extract_intent_calls(COMP, cfg, sets), cfg
 
 
 def test_explicit_chain_resolves_to_target_class():
@@ -203,7 +207,7 @@ def test_resolution_is_monotone_in_opaque_replacement():
     for _ in range(150):
         method = random_chain_method(rng)
         cfg, sets = analyze(method)
-        before = extract_intent_calls(COMP, method, cfg, sets)
+        before = extract_intent_calls(COMP, cfg, sets)
         resolved_before = {(c.site, c.target_kind, c.target) for c in before
                            if c.target_kind != "unresolved"}
 
@@ -223,7 +227,7 @@ def test_resolution_is_monotone_in_opaque_replacement():
             continue
         method2 = make_method(method.name, blocks, method.edges)
         cfg2, sets2 = analyze(method2)
-        after = extract_intent_calls(COMP, method2, cfg2, sets2)
+        after = extract_intent_calls(COMP, cfg2, sets2)
         resolved_after = {(c.site, c.target_kind, c.target) for c in after
                           if c.target_kind != "unresolved"}
         assert resolved_before <= resolved_after
@@ -234,7 +238,7 @@ def test_every_resolved_call_carries_a_valid_witness():
     for _ in range(200):
         method = random_chain_method(rng)
         cfg, sets = analyze(method)
-        for call in extract_intent_calls(COMP, method, cfg, sets):
+        for call in extract_intent_calls(COMP, cfg, sets):
             assert witness_supports(cfg, call)
 
 
@@ -245,5 +249,127 @@ def test_defs_at_mid_block():
         [],
     )
     cfg, sets = analyze(m)
-    assert defs_at(cfg, sets, "b0", 1) == frozenset({DefId("b0", 0, "x")})
-    assert defs_at(cfg, sets, "b0", 2) == frozenset({DefId("b0", 1, "x")})
+    assert defs_at(cfg, sets, "b0", 1, "x") == frozenset({DefId("b0", 0, "x")})
+    assert defs_at(cfg, sets, "b0", 2, "x") == frozenset({DefId("b0", 1, "x")})
+
+
+# --- pinned extraction outcomes ----------------------------------------------
+
+PINNED_INTENT_CALLS_SHA256 = "29b0fda152c3b8d996c7169c76c54b6527277a939d2c1555328fcd1b5cae0d2f"
+
+
+def _pinned_case_methods():
+    """Hand-written chains, one per way a link of the chain can break."""
+    diamond = [("b0", "b1"), ("b0", "b2"), ("b1", "b3"), ("b2", "b3")]
+    return [
+        # an operand whose definition reaches along both diamond branches
+        make_method("m", [
+            ("b0", [assign_this("v1")]),
+            ("b1", [assign_class("v2", "com.t.B")]),
+            ("b2", [assign_class("v2", "com.t.C")]),
+            ("b3", [new_intent_explicit("i", "v1", "v2"), start_service("i")]),
+        ], diamond),
+        # the same operand defined once before the diamond
+        make_method("m", [
+            ("b0", [assign_this("v1"), assign_class("v2", "com.t.B")]),
+            ("b1", [nop()]),
+            ("b2", [assign_this("w")]),
+            ("b3", [new_intent_explicit("i", "v1", "v2"), send_broadcast("i")]),
+        ], diamond),
+        # operands defined by the wrong op, in each position
+        make_method("m", [("b0", [assign_this("v1"), assign_string("v2", "com.t.B"),
+                                  new_intent_explicit("i", "v1", "v2"), start_activity("i")])], []),
+        make_method("m", [("b0", [assign_class("v1", "com.t.A"), assign_class("v2", "com.t.B"),
+                                  new_intent_explicit("i", "v1", "v2"), start_activity("i")])], []),
+        make_method("m", [("b0", [assign_class("a", "com.t.A"), new_intent_action("i", "a"),
+                                  start_activity("i")])], []),
+        # the intent variable defined by something other than a constructor
+        make_method("m", [("b0", [assign_string("i", "x"), start_activity("i")])], []),
+        # start-calls on variables with no definition at all
+        make_method("m", [("b0", [start_activity("i"), start_service("j")])], []),
+        make_method("m", [("b0", [new_intent_action("i", "nowhere"), send_broadcast("i")])], []),
+        # redefinitions between the constructor and the start-call
+        make_method("m", [("b0", [assign_string("a", "x.y"), new_intent_action("i", "a"),
+                                  opaque("enc", "i"), start_activity("i")])], []),
+        make_method("m", [("b0", [assign_string("a", "x.y"), new_intent_action("i", "a"),
+                                  assign_string("a", "x.z"), start_activity("i"),
+                                  new_intent_action("i", "a"), start_service("i")])], []),
+        # operands defined in earlier blocks, the intent in a later one
+        make_method("m", [
+            ("b0", [assign_this("v1")]),
+            ("b1", [assign_class("v2", "com.t.B"), nop()]),
+            ("b2", [new_intent_explicit("i", "v1", "v2")]),
+            ("b3", [start_service("i"), start_activity("i")]),
+        ], [("b0", "b1"), ("b1", "b2"), ("b2", "b3")]),
+        # a loop whose back edge carries a second definition of the operand
+        make_method("m", [
+            ("b0", [assign_string("a", "x.y")]),
+            ("b1", [new_intent_action("i", "a"), start_activity("i"), assign_string("a", "x.z")]),
+        ], [("b0", "b1"), ("b1", "b1")]),
+    ]
+
+
+def _mutated_methods(rng, count):
+    """Seeded random methods with intent constructors and start-calls spliced in
+    over a small variable pool, so operands are often undefined, ambiguous,
+    defined by the wrong op or redefined before use."""
+    out = []
+    for k in range(count):
+        method = random_chain_method(rng) if k % 2 else random_method(rng, max_blocks=8, n_vars=4)
+        pool = sorted({v for _, instrs in method.blocks for instr in instrs
+                       for v in (*instr.defs, *instr.uses)} | {"v0", "v1"})
+
+        def pick():
+            return rng.choice(pool)
+
+        blocks = []
+        for bid, instrs in method.blocks:
+            new = list(instrs)
+            for _ in range(rng.randint(0, 3)):
+                roll = rng.random()
+                if roll < 0.25:
+                    instr = new_intent_explicit(pick(), pick(), pick())
+                elif roll < 0.45:
+                    instr = new_intent_action(pick(), pick())
+                elif roll < 0.6:
+                    instr = assign_class(pick(), f"com.t.K{rng.randrange(3)}")
+                elif roll < 0.7:
+                    instr = assign_this(pick())
+                else:
+                    instr = rng.choice((start_activity, start_service, send_broadcast))(pick())
+                new.insert(rng.randint(0, len(new)), instr)
+            if new and rng.random() < 0.2:
+                del new[rng.randrange(len(new))]
+            blocks.append((bid, new))
+        edges = list(method.edges)
+        if len(blocks) > 1 and rng.random() < 0.5:
+            edges.append((rng.choice(blocks)[0], rng.choice(blocks)[0]))
+        out.append(make_method(method.name, blocks, edges))
+    return out
+
+
+def test_intent_calls_are_pinned():
+    """Every start-call resolves to the same target, witness or non-result:
+    corpus apps at two sizes (base and every applicable operator), the
+    hand-written broken chains above and seeded random methods."""
+    methods = [(COMP, m) for m in _pinned_case_methods()]
+    for size in (SizeParams(), SizeParams(malicious_components=(9, 11), implicit_intents=(2, 3))):
+        for seed in (3, 4):
+            template = generate_family(seed, size)
+            pkgs = [template.base_pkg]
+            for op_id in range(1, 13):
+                try:
+                    pkgs.append(apply_transform(template, TransformOp(op_id), seed=1)[0])
+                except InapplicableTransform:
+                    pass
+            for pkg in pkgs:
+                for comp in pkg.components:
+                    methods.extend((comp, m) for m in pkg.methods.get(comp.name, ()))
+    methods.extend((COMP, m) for m in _mutated_methods(random.Random(20261018), 400))
+
+    digest = hashlib.sha256()
+    for comp, method in methods:
+        cfg, sets = analyze(method)
+        digest.update(repr(extract_intent_calls(comp, cfg, sets)).encode())
+        digest.update(b"\0")
+    assert digest.hexdigest() == PINNED_INTENT_CALLS_SHA256

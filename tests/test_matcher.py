@@ -17,8 +17,8 @@ from monet.matcher import (
     similarity,
     upper_bound_value,
 )
-from monet.sigstore import FamilySignature, SssBlacklist, empty_store, insert_signature, merge_blacklist
-from monet.trace import Sss
+from monet.sigstore import FamilySignature, empty_store, insert_signature, merge_blacklist
+from monet.trace import Sss, sss_from_json_obj
 
 from oracles import brute_force_best, perturb_graph, random_cluster_graph
 
@@ -294,11 +294,20 @@ def test_match_rbg_agrees_with_unfloored_scan_of_the_window():
 
 
 def test_match_sss_intersection():
-    bl = SssBlacklist.of(endpoints=["c2.evil.net:443"], executables=["/data/local/secbino"])
+    bl = Sss(endpoints=["c2.evil.net:443"], executables=["/data/local/secbino"])
     hits = match_sss(Sss(frozenset({"c2.evil.net:443", "ok.com:80"}),
                          frozenset({"/data/local/secbino"})), bl)
     assert hits == ["c2.evil.net:443", "/data/local/secbino"]
     assert match_sss(Sss(frozenset({"other:1"}), frozenset()), bl) == []
+
+
+def test_sss_endpoint_host_is_matched_in_any_case():
+    store = merge_blacklist(empty_store(), ["c2.example.net:9090"], [])
+    suspect = sss_from_json_obj({"endpoints": ["C2.example.NET:9090"]})
+    signature = RuntimeBehaviorSignature("a", BehaviorGraph("runtime", {}, {}), suspect)
+    verdict = decide(signature, store, mode="sss_only")
+    assert verdict.decision == "malicious"
+    assert verdict.matched_blacklist == ("c2.example.net:9090",)
 
 
 def test_decide_mode_isolation():

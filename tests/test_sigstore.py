@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from monet import sigstore
 from monet.behavior_graph import AppComponent, BehaviorGraph
-from monet.matcher import NotDecoupled
+from monet.matcher import NotDecoupled, RuntimeBehaviorSignature, decide
 from monet.sigstore import (
     ChecksumMismatch,
     FamilySignature,
     FormatVersionMismatch,
-    SssBlacklist,
     StoreError,
     StoreIOError,
     empty_store,
@@ -22,6 +22,8 @@ from monet.sigstore import (
     rebuild_index,
     save_store,
 )
+
+from monet.trace import Sss
 
 from oracles import random_cluster_graph
 
@@ -165,7 +167,7 @@ def test_unsafe_family_id_rejected():
 
 
 def test_blacklist_normalization():
-    bl = SssBlacklist.of(endpoints=["EVIL.net:80"], executables=["/x"])
+    bl = Sss(endpoints=["EVIL.net:80"], executables=["/x"])
     assert bl.endpoints == frozenset({"evil.net:80"})
 
 
@@ -209,6 +211,30 @@ def _good_manifest():
 def test_resigned_manifest_round_trips(tmp_path):
     _store_with_manifest(tmp_path / "s", _good_manifest())
     assert load_store(tmp_path / "s").graph_count() == 1
+
+
+def test_loaded_blacklist_endpoint_host_is_lowercased(tmp_path):
+    manifest = _good_manifest()
+    manifest["blacklist"]["endpoints"] = ["C2.Example.net:9090"]
+    _store_with_manifest(tmp_path / "s", manifest)
+    store = load_store(tmp_path / "s")
+    suspect = Sss(endpoints=["c2.example.net:9090"])
+    signature = RuntimeBehaviorSignature("a", BehaviorGraph("runtime", {}, {}), suspect)
+    assert decide(signature, store, mode="sss_only").decision == "malicious"
+
+
+def test_insert_deduplicates_without_serializing(monkeypatch):
+    rng = random.Random(12)
+    g1, g2 = _single_cluster(rng), _single_cluster(rng)
+    store = insert_signature(empty_store(), FamilySignature("famA", (g1,)))
+
+    def refuse(graph):
+        raise AssertionError("insert_signature serialized a graph")
+
+    monkeypatch.setattr(sigstore, "graph_to_json", refuse)
+    store = insert_signature(store, FamilySignature("famA", (g1, g2, g2)))
+    assert store.families["famA"].graphs == (g1, g2)
+    store.index.audit()
 
 
 @pytest.mark.parametrize("breakage", [
