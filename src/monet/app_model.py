@@ -271,12 +271,6 @@ class AppPackage:
     components: tuple[ComponentDecl, ...]
     methods: dict[str, tuple[MethodIR, ...]] = field(default_factory=dict)
 
-    def component(self, name: str) -> ComponentDecl | None:
-        for c in self.components:
-            if c.name == name:
-                return c
-        return None
-
     def kinds_by_name(self) -> dict[str, str]:
         return {c.name: c.kind for c in self.components}
 

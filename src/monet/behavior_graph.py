@@ -172,9 +172,6 @@ class BehaviorGraph:
     def app_count(self) -> int:
         return sum(1 for nid in self.nodes if nid.startswith("app:"))
 
-    def node(self, nid: str) -> GraphNode:
-        return self.nodes[nid]
-
 
 def graph_to_json_obj(g: BehaviorGraph) -> dict:
     nodes = []

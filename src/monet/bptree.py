@@ -120,10 +120,6 @@ class BplusIndex:
     def keys(self) -> list[int]:
         return [k for leaf in self._leaves() for k in leaf.keys]
 
-    def items(self) -> Iterator[tuple[int, tuple]]:
-        for leaf in self._leaves():
-            yield from zip(leaf.keys, leaf.vals)
-
     def _leaves(self) -> Iterator[_Leaf]:
         stack = [self.root]
         out = []

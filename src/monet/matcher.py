@@ -52,9 +52,6 @@ MODES = ("sss_only", "rbg_only", "combined")
 DEFAULT_THRESHOLD = Fraction(4, 5)
 DEFAULT_ALPHA = 5
 
-_EMPTY: frozenset[int] = frozenset()
-
-
 class NotDecoupled(Exception):
     """A graph offered for matching still contains several app clusters."""
 
@@ -89,36 +86,28 @@ def exact_threshold(threshold) -> Fraction:
 
 
 class _Profile:
-    """Per-graph precomputation shared by similarity and its cheap bound."""
+    """Per-graph precomputation shared by similarity and its cheap bound: the
+    app ids in search order, the counts the bound reads and the orientation
+    key.  The search reads edges and kinds from the graph's ``nodes`` and
+    ``edges``, held here without the graph itself so that the two form no cycle."""
 
-    __slots__ = ("app_ids", "kind_of", "kind_counts", "sys_ids", "out", "in_", "n_nodes",
-                 "n_edges", "code_counts", "degree", "canon", "clusters")
+    __slots__ = ("nodes", "edges", "order", "sys_ids", "kind_counts", "code_counts", "canon",
+                 "clusters")
 
     def __init__(self, g: BehaviorGraph):
-        self.app_ids = sorted(nid for nid in g.nodes if nid.startswith("app:"))
-        self.kind_of = {nid: g.nodes[nid].kind for nid in self.app_ids}  # type: ignore[union-attr]
-        self.kind_counts = Counter(self.kind_of.values())
-        self.sys_ids = frozenset(nid for nid in g.nodes if not nid.startswith("app:"))
-        out: dict[str, dict[str, set[int]]] = {}
-        in_: dict[str, dict[str, set[int]]] = {}
-        code_counts: dict[int, int] = {}
-        degree: dict[str, int] = {nid: 0 for nid in g.nodes}
-        for src, dst, code in g.edges:
-            out.setdefault(src, {}).setdefault(dst, set()).add(code)
-            in_.setdefault(dst, {}).setdefault(src, set()).add(code)
-            code_counts[code] = code_counts.get(code, 0) + 1
-            degree[src] += 1
-            degree[dst] += 1
-        self.out = {s: {d: frozenset(c) for d, c in m.items()} for s, m in out.items()}
-        self.in_ = {d: {s: frozenset(c) for s, c in m.items()} for d, m in in_.items()}
-        self.n_nodes = len(g.nodes)
-        self.n_edges = len(g.edges)
-        self.code_counts = code_counts
-        self.degree = degree
+        self.nodes, self.edges = g.nodes, g.edges
+        ids = sorted(g.nodes)
+        app_ids = [nid for nid in ids if nid.startswith("app:")]
+        degree = Counter(src for src, _, _ in g.edges)
+        degree.update(dst for _, dst, _ in g.edges)
+        self.order = sorted(app_ids, key=lambda i: (-degree[i], i))
+        self.sys_ids = frozenset(nid for nid in ids if not nid.startswith("app:"))
+        kinds = tuple(g.nodes[nid].kind for nid in app_ids)  # type: ignore[union-attr]
+        self.kind_counts = Counter(kinds)
+        self.code_counts = Counter(code for _, _, code in g.edges)
         # Orientation key: keeps similarity symmetric even when a search is
         # cut short by its budget.
-        self.canon = (tuple(sorted(g.nodes)), tuple(sorted(g.edges)),
-                      tuple(self.kind_of[nid] or "" for nid in self.app_ids))
+        self.canon = (tuple(ids), tuple(sorted(g.edges)), tuple(k or "" for k in kinds))
         self.clusters: int | None = None  # counted when the graph is first searched
 
 
@@ -131,12 +120,11 @@ def _profile(g: BehaviorGraph) -> _Profile:
 def upper_bound_value(g1: BehaviorGraph, g2: BehaviorGraph) -> Fraction:
     """Cheap optimistic score used to prune candidates before searching."""
     p1, p2 = _profile(g1), _profile(g2)
-    total = p1.n_nodes + p2.n_nodes + p1.n_edges + p2.n_edges
+    total = len(p1.nodes) + len(p2.nodes) + len(p1.edges) + len(p2.edges)
     if total == 0:
         return Fraction(1)
     mv = len(p1.sys_ids & p2.sys_ids)
-    kinds = set(p1.kind_counts) | set(p2.kind_counts)
-    mv += sum(min(p1.kind_counts.get(k, 0), p2.kind_counts.get(k, 0)) for k in kinds)
+    mv += sum(min(n, p2.kind_counts.get(k, 0)) for k, n in p1.kind_counts.items())
     me = sum(min(n, p2.code_counts.get(code, 0)) for code, n in p1.code_counts.items())
     # value = 1 - min_ops/total and min_ops = total - 2*(Mv + Me)
     return Fraction(2 * (mv + me), total)
@@ -149,24 +137,24 @@ def _search(p1: _Profile, p2: _Profile, mapping: dict[str, str],
     beat both the incumbent and ``need - 1`` pairs + edges.  Returns (pairs,
     edges) of the best mapping found, a proven upper bound on pairs + edges,
     whether the search finished within the budget, and its expansions."""
-    order = sorted(p1.app_ids, key=lambda i: (-p1.degree[i], i))
+    order, nodes1, nodes2, e2 = p1.order, p1.nodes, p2.nodes, p2.edges
     n = len(order)
     pos = {nid: i for i, nid in enumerate(order)}
     # An edge unit is decided at the step placing its last app endpoint;
     # units into a system node absent from g2 can never match.
     units: list[list[tuple[str, str, int]]] = [[] for _ in order]
-    for src, targets in p1.out.items():
-        for dst, codes in targets.items():
-            if dst in pos or dst in mapping:
-                units[max(pos[src], pos.get(dst, -1))].extend((src, dst, c) for c in codes)
+    for src, dst, code in p1.edges:
+        if dst in pos or dst in mapping:
+            units[max(pos[src], pos.get(dst, -1))].append((src, dst, code))
     candidates_by_kind: dict[str | None, list[str]] = {}
-    for nid in sorted(p2.app_ids, key=lambda i: (-p2.degree[i], i)):
-        candidates_by_kind.setdefault(p2.kind_of[nid], []).append(nid)
+    for nid in p2.order:
+        candidates_by_kind.setdefault(nodes2[nid].kind, []).append(nid)  # type: ignore[union-attr]
     # (outgoing?, code) counts of each g2 app node's edges to other app nodes
-    app_codes = {y: Counter((out, c) for out, adj in ((True, p2.out), (False, p2.in_))
-                            for u, codes in adj.get(y, {}).items()
-                            if u != y and u.startswith("app:") for c in codes)
-                 for y in p2.app_ids}
+    app_codes: dict[str, Counter] = {y: Counter() for y in p2.order}
+    for src, dst, code in e2:
+        if src != dst and dst in app_codes:
+            app_codes[src][True, code] += 1
+            app_codes[dst][False, code] += 1
 
     # Suffix bounds: vertices per kind still to come, and the most edge units
     # the remaining steps can gain.  Under x -> y a unit into a system node,
@@ -176,12 +164,12 @@ def _search(p1: _Profile, p2: _Profile, mapping: dict[str, str],
     suffix_cap = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         x = order[i]
-        k = p1.kind_of[x]
+        k = nodes1[x].kind  # type: ignore[union-attr]
         suffix_kinds[i] = {**suffix_kinds[i + 1], k: suffix_kinds[i + 1].get(k, 0) + 1}
         fixed = [(d, c) for s, d, c in units[i] if d not in pos or s == d]
         wanted = Counter((s == x, c) for s, d, c in units[i] if d in pos and s != d)
         suffix_cap[i] = suffix_cap[i + 1] + max(
-            (sum(1 for d, c in fixed if c in p2.out.get(y, {}).get(y if d == x else d, _EMPTY))
+            (sum(1 for d, c in fixed if (y, y if d == x else d, c) in e2)
              + sum(min(m, app_codes[y][key]) for key, m in wanted.items())
              for y in candidates_by_kind.get(k, ())), default=0)
 
@@ -194,15 +182,14 @@ def _search(p1: _Profile, p2: _Profile, mapping: dict[str, str],
     # Matching a node never unmatches an edge, so g1 nodes of a kind need to
     # stay unmatched only as far as that kind outnumbers its g2 nodes.
     spare = {k: cnt - avail.get(k, 0) for k, cnt in p1.kind_counts.items()}
-    cap_e = min(p1.n_edges, p2.n_edges)
+    cap_e = min(len(p1.edges), len(e2))
 
     def bound_at(i: int, mv: int, me: int) -> int:
         rem_v = sum(min(cnt, avail.get(k, 0)) for k, cnt in suffix_kinds[i].items())
         return mv + me + rem_v + min(suffix_cap[i], cap_e - me)
 
     def gain(i: int) -> int:
-        return sum(1 for s, d, c in units[i]
-                   if c in p2.out.get(mapping.get(s), {}).get(mapping.get(d), _EMPTY))
+        return sum(1 for s, d, c in units[i] if (mapping.get(s), mapping.get(d), c) in e2)
 
     def rec(i: int, mv: int, me: int) -> None:
         nonlocal best, cut, expansions
@@ -217,7 +204,7 @@ def _search(p1: _Profile, p2: _Profile, mapping: dict[str, str],
         if expansions > SEARCH_BUDGET:
             raise _Exhausted
         x = order[i]
-        kind = p1.kind_of[x]
+        kind = nodes1[x].kind  # type: ignore[union-attr]
         children = []  # tried best gain first, so the incumbent rises early
         for y in candidates_by_kind.get(kind, ()):
             if y not in used:
@@ -268,11 +255,11 @@ def similarity(g1: BehaviorGraph, g2: BehaviorGraph, floor=0) -> SimilarityScore
         if p.clusters > 1:
             raise NotDecoupled(f"graph with {p.clusters} app clusters: {g!r}")
 
-    if (len(p1.app_ids), p1.canon) > (len(p2.app_ids), p2.canon):
+    if (len(p1.order), p1.canon) > (len(p2.order), p2.canon):
         p1, p2 = p2, p1
 
     common_sys = p1.sys_ids & p2.sys_ids
-    total = p1.n_nodes + p2.n_nodes + p1.n_edges + p2.n_edges
+    total = len(p1.nodes) + len(p2.nodes) + len(p1.edges) + len(p2.edges)
     # value = 2 * (Mv + Me) / total, so reaching the floor takes this many units
     need = math.ceil(exact_threshold(floor) * total / 2) - len(common_sys)
     pairs, me, bound, complete, expansions = _search(

@@ -174,8 +174,8 @@ class _Handler(BaseHTTPRequestHandler):
         raw = self.rfile.read(int(text))
         try:
             return json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise BadRequest(f"invalid JSON body: {exc.msg}") from exc
+        except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8 or nested too deep
+            raise BadRequest(f"invalid JSON body: {exc}") from exc
 
     def do_GET(self):
         if self.path == "/v1/health":

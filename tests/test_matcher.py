@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monet import matcher
-from monet.behavior_graph import AppComponent, BehaviorGraph, SystemComponent
+from monet.behavior_graph import AppComponent, BehaviorGraph, SystemComponent, decouple
+from monet.corpus import generate_family
 from monet.matcher import (
     NotDecoupled,
     RuntimeBehaviorSignature,
@@ -17,6 +19,7 @@ from monet.matcher import (
     similarity,
     upper_bound_value,
 )
+from monet.pipeline import runtime_graph
 from monet.sigstore import FamilySignature, empty_store, insert_signature, merge_blacklist
 from monet.trace import Sss, sss_from_json_obj
 
@@ -208,6 +211,68 @@ def test_exact_threshold_handles_decimal_text():
     assert exact_threshold(Fraction(1, 2)) == Fraction(1, 2)
     # a score of exactly 4/5 passes a 0.8 threshold
     assert Fraction(4, 5) >= exact_threshold(0.8)
+
+
+PINNED_SIMILARITY_SHA256 = "bffc4ba4dee11edb4e27cf649c4544942173ac57d81ffa276fd2bf51ba9f2161"
+
+_WIDE_SYSTEM = ("PackageManager", "PhoneSubInfo", "ISms", "WindowManager", "AudioManager")
+
+
+def _wide_edges(rng, n_app):
+    """A spanning tree over n_app indexed components plus n_app extra edges,
+    each to another component or to a system descriptor."""
+    tree = [(rng.randrange(i), i, rng.randint(1, 4)) for i in range(1, n_app)]
+    return tree + [(rng.randrange(n_app), rng.choice((rng.randrange(n_app), rng.choice(_WIDE_SYSTEM))),
+                    rng.randint(1, 4)) for _ in range(n_app)]
+
+
+def _wide_graph(prefix, kinds, edges):
+    apps = [AppComponent(f"{prefix}.C{i}", k) for i, k in enumerate(kinds)]
+    targets = [apps[d] if isinstance(d, int) else SystemComponent(d) for _, d, _ in edges]
+    return BehaviorGraph.of("runtime", apps + targets,
+                            [(apps[s], t, c) for (s, _, c), t in zip(edges, targets)])
+
+
+def _wide_pair(rng, n_app):
+    """An unrelated or a variant pair of n_app-component clusters, in the
+    style of scripts/bench_similarity.py."""
+    kinds = [rng.choice(("activity", "service")) for _ in range(n_app)]
+    edges = _wide_edges(rng, n_app)
+    if rng.random() < 0.5:
+        other_kinds, other = [rng.choice(("activity", "service")) for _ in kinds], _wide_edges(rng, n_app)
+    else:
+        other_kinds = kinds
+        other = edges[:-2] + [(rng.randrange(n_app), rng.randrange(n_app), rng.randint(1, 4))]
+    return _wide_graph("com.a", kinds, edges), _wide_graph("com.b", other_kinds, other)
+
+
+def test_similarity_results_are_pinned(monkeypatch):
+    """Every score, bound and expansion count stays as it is: seeded random
+    pairs, a few 10-12-component pairs and every pair among the decoupled
+    clusters of six corpus families, at three floors in both argument
+    orders, once at the default budget and once cut short at five
+    expansions."""
+    rng = random.Random(20261018)
+    pairs = []
+    for _ in range(150):
+        g1 = random_cluster_graph(rng, 8, 12)
+        pairs.append((g1, perturb_graph(rng, g1) if rng.random() < 0.5 else random_cluster_graph(rng, 8, 12)))
+    pairs += [_wide_pair(rng, n_app) for n_app in (10, 10, 11, 11, 12, 12)]
+    clusters = [g for seed in range(6) for t in [generate_family(seed)]
+                for g in decouple(runtime_graph(t.base_pkg, t.base_trace))]
+    pairs += [(a, b) for i, a in enumerate(clusters) for b in clusters[i:]]
+
+    digest = hashlib.sha256()
+    for budget in (matcher.SEARCH_BUDGET, 5):
+        monkeypatch.setattr(matcher, "SEARCH_BUDGET", budget)
+        for g1, g2 in pairs:
+            for a, b in ((g1, g2), (g2, g1)):
+                digest.update(repr(upper_bound_value(a, b)).encode())
+                for floor in (0, Fraction(1, 2), Fraction(4, 5)):
+                    s = similarity(a, b, floor)
+                    digest.update(repr((s.value, s.matched_vertices, s.matched_edges,
+                                        s.exact, s.bound, s.expansions)).encode())
+    assert digest.hexdigest() == PINNED_SIMILARITY_SHA256
 
 
 # --- store matching -----------------------------------------------------------

@@ -146,6 +146,25 @@ def test_bad_content_length_gets_400(content_length, caplog):
     assert "Traceback" not in caplog.text and "internal error" not in caplog.text
 
 
+@pytest.mark.parametrize("path", ["/v1/match", "/v1/signatures"])
+@pytest.mark.parametrize("body", [b'{"a": "\xff"}', b"\x80abc", b"[" * 100_000 + b"]" * 100_000],
+                         ids=["bad-utf8-in-string", "bad-utf8-lead-byte", "nested-100000-deep"])
+def test_undecodable_body_gets_400(path, body, caplog):
+    import http.client
+
+    store, _ = small_store(1)
+    with running_server(store) as addr:
+        conn = http.client.HTTPConnection(*addr, timeout=30)
+        conn.request("POST", path, body, {"Content-Type": "application/json"})
+        resp = conn.getresponse()
+        assert resp.status == 400
+        assert json.loads(resp.read())["error"].startswith("invalid JSON body")
+        conn.close()
+        status, _ = http_json(addr, "GET", "/v1/health")
+        assert status == 200
+    assert "Traceback" not in caplog.text and "internal error" not in caplog.text
+
+
 def test_bad_mode_and_threshold_rejected():
     store, templates = small_store(1)
     sig = signature_of(templates[0].base_pkg, templates[0].base_trace)
