@@ -372,19 +372,17 @@ def decouple(rbg: BehaviorGraph) -> list[BehaviorGraph]:
         nodes = {nid: rbg.nodes[nid] for nid in members}
         edges: dict[EdgeKey, str | None] = {}
         for (src, dst, code), content in rbg.edges.items():
-            assert src.startswith("app:"), "system-to-system edges cannot exist"
             if src in members:
                 if not dst.startswith("app:"):
                     nodes.setdefault(dst, rbg.nodes[dst])
                 edges[(src, dst, code)] = content
-            elif dst in members and not src.startswith("app:"):
-                raise AssertionError("edge source is always an app component")
         out.append(BehaviorGraph("runtime", nodes, edges))
     out.sort(key=lambda g: (-g.app_count, min(n.name for n in g.app_components())))
     return out
 
 
 def is_decoupled(g: BehaviorGraph) -> bool:
-    """True when ``g`` is a single app cluster with no orphan system nodes."""
-    parts = decouple(g)
-    return len(parts) == 1 and parts[0].nodes == g.nodes and parts[0].edges == g.edges
+    """True when ``g`` is a single app cluster with no orphan system nodes;
+    for a runtime graph, exactly when ``decouple(g) == [g]``."""
+    targeted = {dst for _, dst, _ in g.edges}
+    return len(app_clusters(g)) == 1 and all(nid.startswith("app:") or nid in targeted for nid in g.nodes)

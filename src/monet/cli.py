@@ -86,13 +86,7 @@ def _cmd_sbg(args) -> int:
 
 def _cmd_rbg(args) -> int:
     pkg = parse_package(_read(args.pkg))
-    trace = parse_trace(_read(args.trace))
-    if args.sbg:
-        from .behavior_graph import complete_rbg
-
-        graph = complete_rbg(graph_from_json(_read(args.sbg)), trace, pkg)
-    else:
-        graph = runtime_graph(pkg, trace)
+    graph = runtime_graph(pkg, parse_trace(_read(args.trace)))
     _write(args.output, graph_to_json(graph))
     return EXIT_OK
 
@@ -126,7 +120,8 @@ def _cmd_sim(args) -> int:
 
 def _cmd_sign(args) -> int:
     store_dir = Path(args.store)
-    store = load_store(store_dir) if (store_dir / "store.json").exists() else empty_store()
+    # Only a missing or empty directory starts a new store; anything else must load.
+    store = load_store(store_dir) if any(store_dir.glob("*")) else empty_store()
     graphs = tuple(graph_from_json(_read(p)) for p in args.rbg)
     store = insert_signature(store, FamilySignature(args.family, graphs, args.notes))
     if args.blacklist:
@@ -181,8 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--debug-dataflow", metavar="PATH", help="dump CFG and IN/OUT sets as JSON")
     p.set_defaults(fn=_cmd_sbg)
 
-    p = sub.add_parser("rbg", help="complete a static graph with a runtime trace")
-    p.add_argument("--sbg", help="precomputed static graph (default: derive from --pkg)")
+    p = sub.add_parser("rbg", help="build the runtime behavior graph of a package and its trace")
     p.add_argument("--pkg", required=True)
     p.add_argument("--trace", required=True)
     p.add_argument("-o", "--output", default="-")

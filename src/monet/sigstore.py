@@ -4,33 +4,35 @@ A store is an immutable snapshot.  ``insert_signature`` returns a new store
 sharing unchanged data with the old one; service code swaps the reference
 atomically so readers never observe a partial update.
 
-On disk a store is a directory::
-
-    store.json                  manifest: format/version, families, blacklist
-    graphs/<family>/<ordinal>.json   canonical graph blobs
-    store.crc                   CRC-32 over manifest and graph blobs
+On disk a store is one file, ``store.dat``, of ``<8-hex CRC-32> <JSON>``
+lines: the manifest (format, version, blacklist, families), then each graph
+in manifest order.  Each line's CRC runs on from the previous line's.  A save
+writes and fsyncs ``store.dat.tmp``, then renames it over ``store.dat``.
 
 The index is rebuilt on load rather than persisted (corruption resistance
-beats load time at this scale).  Loading is fail-closed: a bad checksum or
-unknown format aborts with nothing partially loaded.
+beats load time at this scale).  Loading is fail-closed: any corruption, or
+a graph ``insert_signature`` would refuse, aborts with nothing loaded.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import os
 import re
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .behavior_graph import BehaviorGraph, CorruptGraph, graph_from_json, graph_to_json, is_decoupled
+from .behavior_graph import BehaviorGraph, CorruptGraph, graph_from_json_obj, graph_to_json_obj, is_decoupled
 from .bptree import BplusIndex
 from .matcher import DEFAULT_ALPHA, NotDecoupled
 from .trace import Sss
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+STORE_FILE = "store.dat"
 
-# No path separators, and no leading dot: "." and ".." would leave graphs/.
+# Plain names: no separators, no leading dot and no trailing newline.
 _FAMILY_ID_RE = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9._-]*")
 
 
@@ -107,10 +109,7 @@ def insert_signature(store: SignatureStore, family: FamilySignature) -> Signatur
     if not _FAMILY_ID_RE.fullmatch(family.family_id):
         raise ValueError(f"family id unsafe for storage: {family.family_id!r}")
     for g in family.graphs:
-        if g.origin != "runtime":
-            raise CorruptGraph("family graphs must have runtime origin")
-        if not is_decoupled(g):
-            raise NotDecoupled(f"family {family.family_id}: graph is not a single app cluster")
+        _admit(family.family_id, g)
 
     existing = store.families.get(family.family_id)
     kept = list(existing.graphs) if existing else []
@@ -125,6 +124,14 @@ def insert_signature(store: SignatureStore, family: FamilySignature) -> Signatur
     families = dict(store.families)
     families[family.family_id] = FamilySignature(family.family_id, tuple(kept), notes)
     return SignatureStore(families, store.blacklist, index, store.version + 1)
+
+
+def _admit(family_id: str, g: BehaviorGraph) -> None:
+    """Raise unless ``g`` is a runtime graph of one decoupled app cluster."""
+    if g.origin != "runtime":
+        raise CorruptGraph(f"family {family_id}: graphs must have runtime origin")
+    if not is_decoupled(g):
+        raise NotDecoupled(f"family {family_id}: graph is not a single app cluster")
 
 
 def merge_blacklist(store: SignatureStore, endpoints=(), executables=()) -> SignatureStore:
@@ -146,8 +153,11 @@ def rebuild_index(families: dict[str, FamilySignature]) -> BplusIndex:
 # ---------------------------------------------------------------------------
 
 
-def _manifest_json(store: SignatureStore) -> str:
-    obj = {
+def save_store(store: SignatureStore, path) -> None:
+    """Write ``<path>/store.dat`` whole: a fsynced temporary file, then a rename."""
+    root = Path(path)
+    tmp = root / (STORE_FILE + ".tmp")
+    manifest = {
         "format": FORMAT_VERSION,
         "version": store.version,
         "families": [
@@ -163,45 +173,24 @@ def _manifest_json(store: SignatureStore) -> str:
             "executables": sorted(store.blacklist.executables),
         },
     }
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
-def _graph_rel_paths(family_counts: list[tuple[str, int]]) -> list[str]:
-    out = []
-    for fid, count in sorted(family_counts):
-        out.extend(f"graphs/{fid}/{ordinal}.json" for ordinal in range(count))
-    return out
-
-
-def _checksum(root: Path, rel_paths: list[str]) -> str:
-    crc = 0
-    for rel in ["store.json", *rel_paths]:
-        try:
-            data = (root / rel).read_bytes()
-        except OSError as exc:
-            raise ChecksumMismatch(f"missing or unreadable {rel}: {exc}") from exc
-        crc = zlib.crc32(rel.encode() + b"\0" + data + b"\0", crc)
-    return f"{crc:08x}"
-
-
-def save_store(store: SignatureStore, path) -> None:
-    root = Path(path)
+    graphs = (graph_to_json_obj(g) for fid in sorted(store.families) for g in store.families[fid].graphs)
     try:
         root.mkdir(parents=True, exist_ok=True)
-        (root / "store.json").write_text(_manifest_json(store), encoding="utf-8")
-        for fid in sorted(store.families):
-            fam_dir = root / "graphs" / fid
-            fam_dir.mkdir(parents=True, exist_ok=True)
-            for ordinal, g in enumerate(store.families[fid].graphs):
-                (fam_dir / f"{ordinal}.json").write_text(graph_to_json(g), encoding="utf-8")
-        rels = _graph_rel_paths([(fid, len(f.graphs)) for fid, f in store.families.items()])
-        (root / "store.crc").write_text(_checksum(root, rels) + "\n", encoding="utf-8")
+        with open(tmp, "wb") as fh:
+            crc = 0
+            for obj in itertools.chain([manifest], graphs):
+                payload = json.dumps(obj, sort_keys=True, separators=(",", ":")).encode() + b"\n"
+                crc = zlib.crc32(payload, crc)
+                fh.write(b"%08x %s" % (crc, payload))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, root / STORE_FILE)
     except OSError as exc:
         raise StoreIOError(f"cannot write store at {root}: {exc}") from exc
 
 
-def _manifest_schema(manifest) -> tuple[list[tuple[str, int, str]], Sss, int]:
-    """(family id, graph count, notes) entries, blacklist and version of a
+def _manifest_schema(manifest) -> tuple[dict[str, tuple[int, str]], Sss, int]:
+    """Graph count and notes by family id, blacklist and version of a
     decoded manifest; any deviation from the schema is a :class:`StoreError`."""
 
     def require(ok: bool, what: str) -> None:
@@ -210,15 +199,16 @@ def _manifest_schema(manifest) -> tuple[list[tuple[str, int, str]], Sss, int]:
 
     families = manifest.get("families")
     require(isinstance(families, list), "'families' must be a list")
-    entries = []
+    entries: dict[str, tuple[int, str]] = {}
     for f in families:
         require(isinstance(f, dict), "each family entry must be an object")
         fid, count, notes = f.get("family_id"), f.get("graph_count"), f.get("notes", "")
         require(isinstance(fid, str) and bool(_FAMILY_ID_RE.fullmatch(fid)),
                 f"family id unsafe for storage: {fid!r}")
+        require(fid not in entries, f"family {fid} listed twice")
         require(type(count) is int and count >= 0, f"family {fid}: bad graph_count {count!r}")
         require(isinstance(notes, str), f"family {fid}: 'notes' must be a string")
-        entries.append((fid, count, notes))
+        entries[fid] = (count, notes)
     bl = manifest.get("blacklist")
     require(isinstance(bl, dict), "'blacklist' must be an object")
     endpoints, executables = bl.get("endpoints"), bl.get("executables")
@@ -230,36 +220,44 @@ def _manifest_schema(manifest) -> tuple[list[tuple[str, int, str]], Sss, int]:
     return entries, Sss(endpoints, executables), version
 
 
-def load_store(path) -> SignatureStore:
-    """Load a store directory; fail-closed on any corruption."""
-    root = Path(path)
+def _read_record(fh, crc: int, what: str):
+    """The next line's JSON and the CRC run on over it, checked before parsing."""
+    line = fh.readline()
+    if not line:
+        raise ChecksumMismatch(f"store ends before {what}")
+    crc = zlib.crc32(line[9:], crc)
+    if line[:9] != b"%08x " % crc:
+        raise ChecksumMismatch(f"checksum mismatch at {what}")
     try:
-        manifest_bytes = (root / "store.json").read_bytes()
-        crc = (root / "store.crc").read_bytes().strip()
-    except OSError as exc:
-        raise StoreIOError(f"cannot read store at {root}: {exc}") from exc
-    try:
-        manifest = json.loads(manifest_bytes)
+        return json.loads(line[9:]), crc
     except (ValueError, RecursionError) as exc:  # bad JSON or bad UTF-8
-        raise ChecksumMismatch(f"manifest is not valid JSON: {exc}") from exc
-    found = manifest.get("format") if isinstance(manifest, dict) else None
-    if found != FORMAT_VERSION:
-        raise FormatVersionMismatch(f"unsupported store format {found!r} (want {FORMAT_VERSION})")
-    entries, blacklist, version = _manifest_schema(manifest)
-    rel_paths = _graph_rel_paths([(fid, count) for fid, count, _ in entries])
-    if _checksum(root, rel_paths).encode() != crc:
-        raise ChecksumMismatch("store checksum mismatch")
+        raise StoreError(f"{what} is not valid JSON: {exc}") from exc
 
-    families: dict[str, FamilySignature] = {}
-    for fid, count, notes in entries:
-        graphs = []
-        for ordinal in range(count):
-            rel = f"graphs/{fid}/{ordinal}.json"
-            try:
-                graphs.append(graph_from_json((root / rel).read_bytes().decode("utf-8")))
-            except OSError as exc:
-                raise StoreIOError(f"cannot read {rel}: {exc}") from exc
-            except (CorruptGraph, ValueError, RecursionError) as exc:
-                raise StoreError(f"{rel}: {exc}") from exc
-        families[fid] = FamilySignature(fid, tuple(graphs), notes)
+
+def load_store(path) -> SignatureStore:
+    """Load ``<path>/store.dat``; fail-closed on any corruption."""
+    file = Path(path) / STORE_FILE
+    try:
+        with open(file, "rb") as fh:
+            manifest, crc = _read_record(fh, 0, "the manifest")
+            found = manifest.get("format") if isinstance(manifest, dict) else None
+            if found != FORMAT_VERSION:
+                raise FormatVersionMismatch(f"unsupported store format {found!r} (want {FORMAT_VERSION})")
+            entries, blacklist, version = _manifest_schema(manifest)
+            families: dict[str, FamilySignature] = {}
+            for fid, (count, notes) in entries.items():
+                graphs = []
+                for ordinal in range(count):
+                    obj, crc = _read_record(fh, crc, f"graph {ordinal} of family {fid}")
+                    try:
+                        g = graph_from_json_obj(obj)
+                        _admit(fid, g)
+                    except (CorruptGraph, NotDecoupled) as exc:
+                        raise StoreError(f"graph {ordinal} of family {fid}: {exc}") from exc
+                    graphs.append(g)
+                families[fid] = FamilySignature(fid, tuple(graphs), notes)
+            if fh.read(1):
+                raise ChecksumMismatch("data after the last graph")
+    except OSError as exc:
+        raise StoreIOError(f"cannot read store {file}: {exc}") from exc
     return SignatureStore(families, blacklist, rebuild_index(families), version)

@@ -2,6 +2,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monet.app_model import parse_package
 from monet.behavior_graph import (
@@ -270,6 +272,23 @@ def test_decoupling_invariants_random():
             assert len(again) == 1
             assert again[0] == part
             assert is_decoupled(part)
+
+
+@st.composite
+def _runtime_graphs(draw):
+    apps = [AppComponent(f"com.a.C{i}", "activity") for i in range(draw(st.integers(0, 4)))]
+    others = [SystemComponent(f"sys.S{i}") for i in range(draw(st.integers(0, 2)))]
+    others += [IntentAction(f"act.A{i}") for i in range(draw(st.integers(0, 2)))]
+    nodes = apps + others
+    edges = draw(st.lists(st.tuples(st.sampled_from(apps), st.sampled_from(nodes), st.integers(1, 2)),
+                          max_size=6)) if apps else []
+    return BehaviorGraph.of("runtime", nodes, edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_runtime_graphs())
+def test_is_decoupled_agrees_with_decouple(g):
+    assert is_decoupled(g) == (decouple(g) == [g])
 
 
 def test_ordering_is_by_size_then_name():

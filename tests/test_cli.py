@@ -1,4 +1,5 @@
 import json
+import zlib
 
 import pytest
 
@@ -8,6 +9,8 @@ from monet.corpus import generate_family, malicious_graph
 from monet.pipeline import runtime_graph, static_graph
 from monet.app_model import parse_package
 from monet.trace import build_sss, parse_trace
+
+from conftest import write_version_one_store
 
 PKG_SRC = """\
 package com.t.app
@@ -149,11 +152,28 @@ def test_malformed_store_manifest_is_a_data_error(tmp_path, capsys):
     store_dir = tmp_path / "store"
     assert main(["sign", "--family", "famZ", "--rbg", str(graph_file),
                  "--store", str(store_dir)]) == 0
-    manifest = json.loads((store_dir / "store.json").read_text())
+    store_file = store_dir / "store.dat"
+    manifest_line, *graph_lines = store_file.read_bytes().splitlines(keepends=True)
+    manifest = json.loads(manifest_line[9:])
     del manifest["families"][0]["graph_count"]
-    (store_dir / "store.json").write_text(json.dumps(manifest))
+    payload = json.dumps(manifest).encode() + b"\n"
+    store_file.write_bytes(b"%08x %s" % (zlib.crc32(payload), payload) + b"".join(graph_lines))
     assert main(["match", "--store", str(store_dir), "--rbg", str(graph_file)]) == 3
     assert "monet:" in capsys.readouterr().err
+
+
+def test_sign_into_version_one_store_is_a_data_error(tmp_path, capsys):
+    graph = malicious_graph(generate_family(43))
+    graph_file = tmp_path / "mal.json"
+    graph_file.write_text(graph_to_json(graph))
+    store_dir = tmp_path / "store"
+    files = write_version_one_store(store_dir, graph)
+    assert main(["sign", "--family", "famZ", "--rbg", str(graph_file),
+                 "--store", str(store_dir)]) == 3
+    assert "monet:" in capsys.readouterr().err
+    on_disk = {p.relative_to(store_dir).as_posix(): p.read_bytes()
+               for p in store_dir.rglob("*") if p.is_file()}
+    assert on_disk == files
 
 
 MALFORMED_SSS = ['{"endpoints": 5}', '{"executables": "abc"}', '["a:1"]']
@@ -180,7 +200,7 @@ def test_sign_rejects_malformed_blacklist_file(tmp_path, capsys, blacklist_text)
     store_dir = tmp_path / "store"
     assert main(["sign", "--family", "famZ", "--rbg", str(graph_file),
                  "--store", str(store_dir), "--blacklist", str(tmp_path / "bl.json")]) == 3
-    assert not (store_dir / "store.json").exists()
+    assert not (store_dir / "store.dat").exists()
     assert "monet:" in capsys.readouterr().err
 
 

@@ -291,8 +291,9 @@ def test_preload_matches_decide_directly(tmp_path):
 def test_preload_refuses_corrupted_bundle(tmp_path):
     store, _ = small_store(1)
     save_store(store, tmp_path / "bundle")
-    victim = next((tmp_path / "bundle" / "graphs").rglob("*.json"))
-    victim.write_text("{}")
+    victim = tmp_path / "bundle" / "store.dat"
+    manifest_line, graph_line = victim.read_bytes().splitlines(keepends=True)[:2]
+    victim.write_bytes(manifest_line + graph_line[:9] + b"{}\n")
     with pytest.raises(StoreError):
         load_store(tmp_path / "bundle")
 

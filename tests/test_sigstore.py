@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monet import sigstore
-from monet.behavior_graph import AppComponent, BehaviorGraph
+from monet.behavior_graph import AppComponent, BehaviorGraph, CorruptGraph, SystemComponent, graph_to_json_obj
 from monet.matcher import NotDecoupled, RuntimeBehaviorSignature, decide
 from monet.sigstore import (
     ChecksumMismatch,
@@ -25,6 +25,7 @@ from monet.sigstore import (
 
 from monet.trace import Sss
 
+from conftest import write_version_one_store
 from oracles import random_cluster_graph
 
 
@@ -117,8 +118,9 @@ def test_truncated_graph_file_fails_closed(tmp_path):
     rng = random.Random(7)
     store = insert_signature(empty_store(), FamilySignature("famA", (_single_cluster(rng),)))
     save_store(store, tmp_path / "s")
-    victim = next((tmp_path / "s" / "graphs").rglob("*.json"))
-    victim.write_bytes(victim.read_bytes()[:10])
+    victim = tmp_path / "s" / "store.dat"
+    manifest_line, graph_line = victim.read_bytes().splitlines(keepends=True)
+    victim.write_bytes(manifest_line + graph_line[:10])
     with pytest.raises(ChecksumMismatch):
         load_store(tmp_path / "s")
 
@@ -126,7 +128,7 @@ def test_truncated_graph_file_fails_closed(tmp_path):
 def test_truncated_manifest_fails_closed(tmp_path):
     store = empty_store()
     save_store(store, tmp_path / "s")
-    manifest = tmp_path / "s" / "store.json"
+    manifest = tmp_path / "s" / "store.dat"
     manifest.write_bytes(manifest.read_bytes()[:-5])
     with pytest.raises(ChecksumMismatch):
         load_store(tmp_path / "s")
@@ -135,7 +137,8 @@ def test_truncated_manifest_fails_closed(tmp_path):
 def test_missing_crc_fails_closed(tmp_path):
     store = empty_store()
     save_store(store, tmp_path / "s")
-    (tmp_path / "s" / "store.crc").unlink()
+    victim = tmp_path / "s" / "store.dat"
+    victim.write_bytes(victim.read_bytes()[9:])  # the line without its CRC
     with pytest.raises((ChecksumMismatch, StoreIOError)):
         load_store(tmp_path / "s")
 
@@ -143,14 +146,8 @@ def test_missing_crc_fails_closed(tmp_path):
 def test_format_version_mismatch(tmp_path):
     store = empty_store()
     save_store(store, tmp_path / "s")
-    manifest = tmp_path / "s" / "store.json"
-    text = manifest.read_text().replace('"format": 1', '"format": 99')
-    manifest.write_text(text)
-    # recompute checksum so only the version differs
-    import zlib
-
-    crc = zlib.crc32(b"store.json\0" + manifest.read_bytes() + b"\0", 0)
-    (tmp_path / "s" / "store.crc").write_text(f"{crc:08x}\n")
+    # re-sign so only the version differs
+    _sign(tmp_path / "s", [p.replace(b'"format":2', b'"format":99') for p in _payloads(tmp_path / "s")])
     with pytest.raises(FormatVersionMismatch):
         load_store(tmp_path / "s")
 
@@ -186,12 +183,18 @@ def test_randomized_round_trips(tmp_path):
         assert load_store(path) == store
 
 
-def _sign(root, graph_rels) -> None:
-    """Write the checksum of ``store.json`` and the given graph files."""
-    crc = 0
-    for rel in ("store.json", *graph_rels):
-        crc = zlib.crc32(rel.encode() + b"\0" + (root / rel).read_bytes() + b"\0", crc)
-    (root / "store.crc").write_text(f"{crc:08x}\n")
+def _payloads(root) -> list[bytes]:
+    """Each line of the store file at ``root`` without its CRC field."""
+    return [line[9:] for line in (root / "store.dat").read_bytes().splitlines(keepends=True)]
+
+
+def _sign(root, payloads) -> None:
+    """Write ``payloads`` as the store file at ``root``, each line with its running CRC."""
+    crc, lines = 0, []
+    for payload in payloads:
+        crc = zlib.crc32(payload, crc)
+        lines.append(b"%08x %s" % (crc, payload))
+    (root / "store.dat").write_bytes(b"".join(lines))
 
 
 def _store_with_manifest(path, manifest) -> None:
@@ -199,12 +202,11 @@ def _store_with_manifest(path, manifest) -> None:
     that only the manifest's content is wrong."""
     save_store(insert_signature(empty_store(), FamilySignature(
         "famA", (_single_cluster(random.Random(10)),))), path)
-    (path / "store.json").write_text(json.dumps(manifest))
-    _sign(path, ["graphs/famA/0.json"])
+    _sign(path, [json.dumps(manifest).encode() + b"\n", *_payloads(path)[1:]])
 
 
 def _good_manifest():
-    return {"format": 1, "version": 1, "blacklist": {"endpoints": [], "executables": []},
+    return {"format": 2, "version": 1, "blacklist": {"endpoints": [], "executables": []},
             "families": [{"family_id": "famA", "graph_count": 1, "notes": ""}]}
 
 
@@ -231,7 +233,7 @@ def test_insert_deduplicates_without_serializing(monkeypatch):
     def refuse(graph):
         raise AssertionError("insert_signature serialized a graph")
 
-    monkeypatch.setattr(sigstore, "graph_to_json", refuse)
+    monkeypatch.setattr(sigstore, "graph_to_json_obj", refuse)
     store = insert_signature(store, FamilySignature("famA", (g1, g2, g2)))
     assert store.families["famA"].graphs == (g1, g2)
     store.index.audit()
@@ -256,17 +258,76 @@ def test_manifest_schema_errors_are_store_errors(tmp_path, breakage):
 
 @pytest.mark.parametrize("family_id", ["../x", "..", "a/b", "fam\n"])
 def test_load_rejects_unsafe_family_ids(tmp_path, family_id):
-    # The graph file the id points to exists and the checksum matches it.
+    # The family's graph line follows and the checksum matches it.
     root = tmp_path / "store" / "s"
     manifest = _good_manifest()
     manifest["families"][0]["family_id"] = family_id
     _store_with_manifest(root, manifest)
-    target = root / "graphs" / family_id / "0.json"
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_bytes((root / "graphs" / "famA" / "0.json").read_bytes())
-    _sign(root, [f"graphs/{family_id}/0.json"])
     with pytest.raises(StoreError, match="unsafe"):
         load_store(root)
+
+
+def test_manifest_listing_a_family_twice_is_a_store_error(tmp_path):
+    manifest = _good_manifest()
+    manifest["families"].append(dict(manifest["families"][0], graph_count=0))
+    _store_with_manifest(tmp_path / "s", manifest)
+    with pytest.raises(StoreError, match="twice"):
+        load_store(tmp_path / "s")
+
+
+_X, _Y = AppComponent("com.a.X", "activity"), AppComponent("com.a.Y", "service")
+_S = SystemComponent("android.os.IServiceManager")
+
+
+@pytest.mark.parametrize("graph", [
+    BehaviorGraph.of("runtime", [_X, _Y, _S], [(_X, _S, 1), (_Y, _S, 1)]),  # two clusters
+    BehaviorGraph.of("static", [_X, _Y], [(_X, _Y, 3)]),
+])
+def test_load_admits_only_what_insert_admits(tmp_path, graph):
+    with pytest.raises((CorruptGraph, NotDecoupled)):
+        insert_signature(empty_store(), FamilySignature("famA", (graph,)))
+    root = tmp_path / "s"
+    _store_with_manifest(root, _good_manifest())
+    _sign(root, [_payloads(root)[0], json.dumps(graph_to_json_obj(graph)).encode() + b"\n"])
+    with pytest.raises(StoreError):
+        load_store(root)
+
+
+@pytest.mark.parametrize("edit, error", [
+    (lambda lines: [*lines, b"{}\n"], ChecksumMismatch),  # data after the last graph
+    (lambda lines: lines[:1], ChecksumMismatch),  # the graph line is missing
+    (lambda lines: [lines[0], b"{not json\n"], StoreError),  # bad JSON under a good CRC
+])
+def test_resigned_store_file_fails_closed(tmp_path, edit, error):
+    root = tmp_path / "s"
+    _store_with_manifest(root, _good_manifest())
+    _sign(root, edit(_payloads(root)))
+    with pytest.raises(StoreError) as caught:
+        load_store(root)
+    assert caught.type is error
+
+
+@pytest.mark.parametrize("call", ["fsync", "replace"])
+def test_failed_save_leaves_the_old_store(tmp_path, monkeypatch, call):
+    rng = random.Random(13)
+    old = insert_signature(empty_store(), FamilySignature("famA", (_single_cluster(rng),)))
+    save_store(old, tmp_path / "s")
+    new = insert_signature(old, FamilySignature("famB", (_single_cluster(rng), _single_cluster(rng))))
+
+    def fail(*args):
+        raise OSError(f"injected {call} failure")
+
+    monkeypatch.setattr(sigstore.os, call, fail)
+    with pytest.raises(StoreIOError):
+        save_store(new, tmp_path / "s")
+    monkeypatch.undo()
+    assert load_store(tmp_path / "s") == old
+
+
+def test_version_one_store_directory_fails_closed(tmp_path):
+    write_version_one_store(tmp_path / "s", _single_cluster(random.Random(14)))
+    with pytest.raises(StoreError):
+        load_store(tmp_path / "s")
 
 
 @pytest.mark.parametrize("family_id", ["..", ".hidden", "fam\n"])
