@@ -200,7 +200,7 @@ def graph_from_json_obj(obj) -> BehaviorGraph:
         raise CorruptGraph("graph JSON must be an object")
     try:
         origin = obj["origin"]
-        nodes: list[GraphNode] = []
+        node_map: dict[str, GraphNode] = {}
         for n in obj["nodes"]:
             ntype, label = n["type"], n["label"]
             if ntype == "app":
@@ -214,17 +214,17 @@ def graph_from_json_obj(obj) -> BehaviorGraph:
                 node = IntentAction(label)
             else:
                 raise CorruptGraph(f"unknown node type {ntype!r}")
-            if n["id"] != node_id(node):
-                raise CorruptGraph(f"node id {n['id']!r} does not match its label")
-            nodes.append(node)
+            nid = n["id"]
+            if nid != node_id(node):
+                raise CorruptGraph(f"node id {nid!r} does not match its label")
+            if nid in node_map:
+                raise CorruptGraph("duplicate node ids")
+            node_map[nid] = node
         edge_items = [
             (e["src"], e["dst"], e["code"], e.get("content")) for e in obj["edges"]
         ]
     except (KeyError, TypeError) as exc:
         raise CorruptGraph(f"malformed graph JSON: {exc}") from exc
-    node_map = {node_id(n): n for n in nodes}
-    if len(node_map) != len(nodes):
-        raise CorruptGraph("duplicate node ids")
     edges: dict[EdgeKey, str | None] = {}
     for src, dst, code, content in edge_items:
         if not isinstance(src, str) or not isinstance(dst, str):

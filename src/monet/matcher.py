@@ -19,11 +19,13 @@ system-side labels are unique within a graph, system and action nodes are
 pre-matched by label; the remaining search maximizes matched edges over
 injective app-component mappings.
 
-The search is one branch and bound.  A caller that needs only some score
-passes it as ``floor``, and subtrees whose bound cannot reach it are pruned,
-so unrelated pairs are rejected without finding their maximum.  A search
-stops after ``SEARCH_BUDGET`` node expansions, and a result cut short says so
-(``exact=False``) and carries a proven upper ``bound``.
+``match_rbg`` searches only the window's candidates whose count bound, the
+shared-token count of the two graphs' label multisets, reaches the threshold in
+an integer comparison.  The search is one branch and bound.  A caller that
+needs only some score passes it as ``floor``, and subtrees whose bound cannot
+reach it are pruned, so unrelated pairs are rejected without finding their
+maximum.  A search stops after ``SEARCH_BUDGET`` node expansions, and a result
+cut short says so (``exact=False``) and carries a proven upper ``bound``.
 
 Scores are exact rationals so that threshold comparisons and the published
 worked example hold with zero tolerance.
@@ -51,6 +53,9 @@ MODES = ("sss_only", "rbg_only", "combined")
 # stored graphs within 5 app components of the suspect are candidates.
 DEFAULT_THRESHOLD = Fraction(4, 5)
 DEFAULT_ALPHA = 5
+
+# One object per (key, j) token of stored graphs, so the scan matches them by identity; suspects only look up.
+_TOKENS: dict[tuple, tuple] = {}
 
 class NotDecoupled(Exception):
     """A graph offered for matching still contains several app clusters."""
@@ -86,15 +91,15 @@ def exact_threshold(threshold) -> Fraction:
 
 
 class _Profile:
-    """Per-graph precomputation shared by similarity and its cheap bound: the
-    app ids in search order, the counts the bound reads and the orientation
-    key.  The search reads edges and kinds from the graph's ``nodes`` and
-    ``edges``, held here without the graph itself so that the two form no cycle."""
+    """Per-graph precomputation shared by similarity and its cheap bound: app
+    ids in search order, kind counts, label ``tokens`` and the orientation key
+    (the search reads ``nodes`` and ``edges``, held without the graph so the two
+    form no cycle).  ``tokens`` holds each system/action id and ``(kind, j)`` /
+    ``(code, j)`` for the j-th app node of a kind and the j-th edge with a code."""
 
-    __slots__ = ("nodes", "edges", "order", "sys_ids", "kind_counts", "code_counts", "canon",
-                 "clusters")
+    __slots__ = ("nodes", "edges", "order", "sys_ids", "kind_counts", "tokens", "canon", "clusters")
 
-    def __init__(self, g: BehaviorGraph):
+    def __init__(self, g: BehaviorGraph, intern):
         self.nodes, self.edges = g.nodes, g.edges
         ids = sorted(g.nodes)
         app_ids = [nid for nid in ids if nid.startswith("app:")]
@@ -104,30 +109,34 @@ class _Profile:
         self.sys_ids = frozenset(nid for nid in ids if not nid.startswith("app:"))
         kinds = tuple(g.nodes[nid].kind for nid in app_ids)  # type: ignore[union-attr]
         self.kind_counts = Counter(kinds)
-        self.code_counts = Counter(code for _, _, code in g.edges)
+        counts = (*self.kind_counts.items(), *Counter(code for _, _, code in g.edges).items())
+        toks = [(k, j) for k, n in counts for j in range(n)]
+        self.tokens = self.sys_ids.union(map(intern, toks, toks))
         # Orientation key: keeps similarity symmetric even when a search is
         # cut short by its budget.
         self.canon = (tuple(ids), tuple(sorted(g.edges)), tuple(k or "" for k in kinds))
         self.clusters: int | None = None  # counted when the graph is first searched
 
 
-def _profile(g: BehaviorGraph) -> _Profile:
+def _profile(g: BehaviorGraph, intern=_TOKENS.get) -> _Profile:
     if g._profile is None:
-        g._profile = _Profile(g)
+        g._profile = _Profile(g, intern)
     return g._profile
 
 
+def _value(units: int, total: int) -> Fraction:
+    """1 - min_ops/total for ``units`` matched vertices + edges (min_ops = total - 2*units)."""
+    return Fraction(2 * units, total) if total else Fraction(1)
+
+
+def _shared_total(p1: _Profile, p2: _Profile) -> tuple[int, int]:
+    """The count bound's integers: shared label tokens, and vertices + edges of both."""
+    return len(p1.tokens & p2.tokens), len(p1.nodes) + len(p2.nodes) + len(p1.edges) + len(p2.edges)
+
+
 def upper_bound_value(g1: BehaviorGraph, g2: BehaviorGraph) -> Fraction:
-    """Cheap optimistic score used to prune candidates before searching."""
-    p1, p2 = _profile(g1), _profile(g2)
-    total = len(p1.nodes) + len(p2.nodes) + len(p1.edges) + len(p2.edges)
-    if total == 0:
-        return Fraction(1)
-    mv = len(p1.sys_ids & p2.sys_ids)
-    mv += sum(min(n, p2.kind_counts.get(k, 0)) for k, n in p1.kind_counts.items())
-    me = sum(min(n, p2.code_counts.get(code, 0)) for code, n in p1.code_counts.items())
-    # value = 1 - min_ops/total and min_ops = total - 2*(Mv + Me)
-    return Fraction(2 * (mv + me), total)
+    """Cheap optimistic score: every shared label token as a matched vertex or edge."""
+    return _value(*_shared_total(_profile(g1), _profile(g2)))
 
 
 def _search(p1: _Profile, p2: _Profile, mapping: dict[str, str],
@@ -264,8 +273,7 @@ def similarity(g1: BehaviorGraph, g2: BehaviorGraph, floor=0) -> SimilarityScore
     need = math.ceil(exact_threshold(floor) * total / 2) - len(common_sys)
     pairs, me, bound, complete, expansions = _search(
         p1, p2, {nid: nid for nid in common_sys}, need)
-    value, bound_value = (Fraction(2 * (len(common_sys) + units), total) if total else Fraction(1)
-                          for units in (pairs + me, bound))
+    value, bound_value = (_value(len(common_sys) + units, total) for units in (pairs + me, bound))
     return SimilarityScore(value, len(common_sys) + pairs, me,
                            complete and pairs + me >= need, bound_value, expansions)
 
@@ -290,16 +298,18 @@ def match_rbg(suspect, store, threshold=DEFAULT_THRESHOLD, alpha: int = DEFAULT_
     (family_id, SimilarityScore) or None; ties keep the smallest family id.
     """
     th = exact_threshold(threshold)
+    num, den = th.numerator, 2 * th.denominator
     best: tuple[str, SimilarityScore] | None = None
     for g in suspect:
-        candidates = sorted(
-            store.range_candidates(g.app_count, alpha),
-            key=lambda r: (r.family_id, r.ordinal),
-        )
-        for ref in candidates:
-            cand = store.graph(ref)
-            ub = upper_bound_value(g, cand)
-            if ub < th or (best is not None and ub <= best[1].value):
+        p, survivors = _profile(g), []
+        # Sort and search only candidates whose bound 2*shared/total reaches th.
+        for ref in store.range_candidates(g.app_count, alpha):
+            shared, total = _shared_total(p, _profile(cand := store.graph(ref), _TOKENS.setdefault))
+            if den * shared >= num * total:
+                survivors.append((ref, cand, _value(shared, total)))
+        survivors.sort(key=lambda s: (s[0].family_id, s[0].ordinal))
+        for ref, cand, ub in survivors:
+            if best is not None and ub <= best[1].value:
                 continue
             score = similarity(g, cand, th if best is None else best[1].value)
             if score.value >= th and (best is None or score.value > best[1].value):

@@ -7,7 +7,8 @@ atomically so readers never observe a partial update.
 On disk a store is one file, ``store.dat``, of ``<8-hex CRC-32> <JSON>``
 lines: the manifest (format, version, blacklist, families), then each graph
 in manifest order.  Each line's CRC runs on from the previous line's.  A save
-writes and fsyncs ``store.dat.tmp``, then renames it over ``store.dat``.
+writes and fsyncs ``store.dat.tmp``, renames it over ``store.dat`` and fsyncs
+the directory; a save that fails removes ``store.dat.tmp``.
 
 The index is rebuilt on load rather than persisted (corruption resistance
 beats load time at this scale).  Loading is fail-closed: any corruption, or
@@ -16,6 +17,7 @@ a graph ``insert_signature`` would refuse, aborts with nothing loaded.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import os
@@ -154,7 +156,8 @@ def rebuild_index(families: dict[str, FamilySignature]) -> BplusIndex:
 
 
 def save_store(store: SignatureStore, path) -> None:
-    """Write ``<path>/store.dat`` whole: a fsynced temporary file, then a rename."""
+    """Write ``<path>/store.dat`` whole: a fsynced temporary file, a rename,
+    then a fsync of the directory."""
     root = Path(path)
     tmp = root / (STORE_FILE + ".tmp")
     manifest = {
@@ -185,7 +188,16 @@ def save_store(store: SignatureStore, path) -> None:
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, root / STORE_FILE)
+        # The rename is durable only once the directory entry is on disk.
+        dir_fd = os.open(root, os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
     except OSError as exc:
+        # A leftover temporary file would make a new directory look non-empty.
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
         raise StoreIOError(f"cannot write store at {root}: {exc}") from exc
 
 

@@ -8,6 +8,7 @@ the similarity oracle enumerates every injective compatible mapping outright.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 from monet.app_model import (
@@ -165,6 +166,22 @@ def brute_force_best(g1: BehaviorGraph, g2: BehaviorGraph) -> tuple[int, int, Fr
     total = len(g1.nodes) + len(g2.nodes) + len(g1.edges) + len(g2.edges)
     value = Fraction(2 * (mv + me), total) if total else Fraction(1)
     return mv, me, value
+
+
+def count_bound_reference(g1: BehaviorGraph, g2: BehaviorGraph) -> Fraction:
+    """The label-count bound from per-label counters: shared system/action
+    ids plus, per app kind and per edge code, the smaller of the two counts."""
+    total = len(g1.nodes) + len(g2.nodes) + len(g1.edges) + len(g2.edges)
+    if total == 0:
+        return Fraction(1)
+    sys1 = {n for n in g1.nodes if not n.startswith("app:")}
+    sys2 = {n for n in g2.nodes if not n.startswith("app:")}
+    kinds1, kinds2 = (Counter(n.kind for nid, n in g.nodes.items() if nid.startswith("app:"))
+                      for g in (g1, g2))
+    codes1, codes2 = (Counter(code for _, _, code in g.edges) for g in (g1, g2))
+    mv = len(sys1 & sys2) + sum(min(n, kinds2[k]) for k, n in kinds1.items())
+    me = sum(min(n, codes2[c]) for c, n in codes1.items())
+    return Fraction(2 * (mv + me), total)
 
 
 # ---------------------------------------------------------------------------

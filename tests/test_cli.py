@@ -1,8 +1,10 @@
+import errno
 import json
 import zlib
 
 import pytest
 
+from monet import sigstore
 from monet.behavior_graph import graph_from_json, graph_to_json
 from monet.cli import main
 from monet.corpus import generate_family, malicious_graph
@@ -174,6 +176,23 @@ def test_sign_into_version_one_store_is_a_data_error(tmp_path, capsys):
     on_disk = {p.relative_to(store_dir).as_posix(): p.read_bytes()
                for p in store_dir.rglob("*") if p.is_file()}
     assert on_disk == files
+
+
+def test_failed_first_save_leaves_the_new_directory_empty(tmp_path, capsys, monkeypatch):
+    graph_file = tmp_path / "mal.json"
+    graph_file.write_text(graph_to_json(malicious_graph(generate_family(43))))
+    store_dir = tmp_path / "store"
+
+    def no_space(fd):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(sigstore.os, "fsync", no_space)
+    argv = ["sign", "--family", "famZ", "--rbg", str(graph_file), "--store", str(store_dir)]
+    assert main(argv) == 3
+    monkeypatch.undo()
+    assert list(store_dir.iterdir()) == []
+    assert main(argv) == 0
+    capsys.readouterr()
 
 
 MALFORMED_SSS = ['{"endpoints": 5}', '{"executables": "abc"}', '["a:1"]']

@@ -23,7 +23,7 @@ from monet.pipeline import runtime_graph
 from monet.sigstore import FamilySignature, empty_store, insert_signature, merge_blacklist
 from monet.trace import Sss, sss_from_json_obj
 
-from oracles import brute_force_best, perturb_graph, random_cluster_graph
+from oracles import brute_force_best, count_bound_reference, perturb_graph, random_cluster_graph
 
 
 def worked_example_pair():
@@ -128,6 +128,25 @@ def test_upper_bound_dominates_true_value():
     for _ in range(60):
         g1, g2 = random_cluster_graph(rng), random_cluster_graph(rng)
         assert upper_bound_value(g1, g2) >= similarity(g1, g2).value
+
+
+def _coarsened(g):
+    """``g`` with every kind None and edge codes folded onto 1 and 2, so that
+    kinds and codes repeat."""
+    nodes = {nid: AppComponent(n.name, None) if nid.startswith("app:") else n
+             for nid, n in g.nodes.items()}
+    return BehaviorGraph("runtime", nodes, {(s, d, c % 2 + 1): v for (s, d, c), v in g.edges.items()})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32))
+def test_upper_bound_equals_the_counter_reference(seed):
+    rng = random.Random(seed)
+    g1 = random_cluster_graph(rng, 8, 12)
+    g2 = perturb_graph(rng, g1) if rng.random() < 0.5 else random_cluster_graph(rng, 8, 12)
+    for a, b in ((g1, g2), (_coarsened(g1), g2), (_coarsened(g1), _coarsened(g2))):
+        assert upper_bound_value(a, b) == count_bound_reference(a, b)
+        assert upper_bound_value(b, a) == count_bound_reference(b, a)
 
 
 def test_thirteen_component_chains_score_exactly_one():
@@ -356,6 +375,43 @@ def test_match_rbg_agrees_with_unfloored_scan_of_the_window():
         got = None if hit is None else (hit[0], hit[1].value)
         assert got == want, f"trial {trial}"
         assert hit is None or hit[1].exact
+
+
+def test_match_rbg_searches_no_candidate_below_the_threshold(monkeypatch):
+    rng = random.Random(32)
+    pool = [random_cluster_graph(rng) for _ in range(12)]
+    store = _store_with(*((f"fam{i}", [g, perturb_graph(rng, g)]) for i, g in enumerate(pool)))
+    searched = []
+
+    def recording_similarity(g1, g2, floor=0):
+        searched.append((g1, g2))
+        return similarity(g1, g2, floor)
+
+    monkeypatch.setattr(matcher, "similarity", recording_similarity)
+    below = 0
+    for _ in range(30):
+        suspect = [perturb_graph(rng, rng.choice(pool)), random_cluster_graph(rng)]
+        th = rng.choice((Fraction(1, 2), Fraction(7, 10), Fraction(4, 5)))
+        searched.clear()
+        match_rbg(suspect, store, th, 5)
+        assert all(upper_bound_value(a, b) >= th for a, b in searched)
+        below += sum(upper_bound_value(g, store.graph(ref)) < th
+                     for g in suspect for ref in store.range_candidates(g.app_count, 5))
+    assert below > 0  # the window held candidates for the filter to drop
+
+
+def test_window_scan_shares_stored_tokens_and_keeps_none_of_the_suspect():
+    a, b = AppComponent("com.x.A", "activity"), AppComponent("com.x.B", "service")
+    store = _store_with(("fam", [BehaviorGraph.of("runtime", [a, b], [(a, b, 7), (b, a, 7)])]))
+    c = AppComponent("com.x.C", "kind no store holds")
+    edges = [(a, b, 7), (b, c, 424242), (c, a, 424242)]
+    match_rbg([BehaviorGraph.of("runtime", [a, b, c], edges)], store)
+    kept = dict(matcher._TOKENS)
+    assert ("kind no store holds", 0) not in kept and (424242, 0) not in kept
+    suspect = matcher._profile(BehaviorGraph.of("runtime", [a, b, c], edges))
+    assert matcher._TOKENS == kept
+    stored = [t for t in suspect.tokens if t in kept]
+    assert len(stored) == 3 and all(t is kept[t] for t in stored)  # activity, service, code 7
 
 
 def test_match_sss_intersection():

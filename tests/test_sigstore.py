@@ -1,5 +1,8 @@
+import errno
 import json
+import os
 import random
+import stat
 import zlib
 
 import pytest
@@ -322,6 +325,44 @@ def test_failed_save_leaves_the_old_store(tmp_path, monkeypatch, call):
         save_store(new, tmp_path / "s")
     monkeypatch.undo()
     assert load_store(tmp_path / "s") == old
+
+
+def test_save_fsyncs_the_directory_after_the_rename(tmp_path, monkeypatch):
+    root = tmp_path / "s"
+    store = insert_signature(empty_store(), FamilySignature("famA", (_single_cluster(random.Random(15)),)))
+    events = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        st = os.fstat(fd)
+        events.append("fsync dir" if stat.S_ISDIR(st.st_mode) and st.st_ino == root.stat().st_ino
+                      else "fsync file")
+        real_fsync(fd)
+
+    def replace(src, dst):
+        events.append("replace")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(sigstore.os, "fsync", fsync)
+    monkeypatch.setattr(sigstore.os, "replace", replace)
+    save_store(store, root)
+    assert events == ["fsync file", "replace", "fsync dir"]
+
+
+def test_failed_directory_fsync_is_a_store_io_error(tmp_path, monkeypatch):
+    root = tmp_path / "s"
+    store = insert_signature(empty_store(), FamilySignature("famA", (_single_cluster(random.Random(16)),)))
+    real_fsync = os.fsync
+
+    def fsync(fd):
+        if stat.S_ISDIR(os.fstat(fd).st_mode):
+            raise OSError(errno.EIO, "injected directory fsync failure")
+        real_fsync(fd)
+
+    monkeypatch.setattr(sigstore.os, "fsync", fsync)
+    with pytest.raises(StoreIOError):
+        save_store(store, root)
+    assert sorted(p.name for p in root.iterdir()) == ["store.dat"]
 
 
 def test_version_one_store_directory_fails_closed(tmp_path):
