@@ -13,14 +13,20 @@ string, and are deduplicated by (src, dst, code) keeping the first content
 seen.  Static edges use the canonical codes below; runtime records carry
 their own codes verbatim.
 
-In one graph there is at most one node per identity (app name / descriptor /
-action), so node ids double as labels.  Graphs are immutable once built.
+Each node class states its JSON ``type``, its id ``prefix`` and its ``label``
+field once, and ``NODE_TYPES`` maps the JSON type to the class.  A node id is
+prefix + label, so in one graph there is at most one node per identity, and
+``BehaviorGraph`` checks every id against its node.  Graphs are immutable once
+built.  Nodes are slotted, and a graph parsed from JSON uses its node-key
+strings as edge endpoints too, so a stored graph holds each id once.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import ClassVar
 
 from .app_model import AppPackage
 from .dataflow import IntentCall
@@ -55,47 +61,37 @@ class UnknownCaller(GraphError):
         super().__init__(f"binder record {record.seq}: unknown caller {record.caller!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AppComponent:
     name: str
     kind: str | None  # None: discovered at runtime via dynamic loading
+    json_type: ClassVar[str] = "app"
+    prefix: ClassVar[str] = "app:"
+    label = property(attrgetter("name"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SystemComponent:
     descriptor: str
+    json_type: ClassVar[str] = "system"
+    prefix: ClassVar[str] = "sys:"
+    label = property(attrgetter("descriptor"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntentAction:
     action: str
+    json_type: ClassVar[str] = "action"
+    prefix: ClassVar[str] = "act:"
+    label = property(attrgetter("action"))
 
 
 GraphNode = AppComponent | SystemComponent | IntentAction
+NODE_TYPES: dict[str, type[GraphNode]] = {c.json_type: c for c in (AppComponent, SystemComponent, IntentAction)}
 
 
 def node_id(node: GraphNode) -> str:
-    if isinstance(node, AppComponent):
-        return "app:" + node.name
-    if isinstance(node, SystemComponent):
-        return "sys:" + node.descriptor
-    return "act:" + node.action
-
-
-def _node_type(node: GraphNode) -> str:
-    if isinstance(node, AppComponent):
-        return "app"
-    if isinstance(node, SystemComponent):
-        return "system"
-    return "action"
-
-
-def _node_label(node: GraphNode) -> str:
-    if isinstance(node, AppComponent):
-        return node.name
-    if isinstance(node, SystemComponent):
-        return node.descriptor
-    return node.action
+    return node.prefix + node.label
 
 
 EdgeKey = tuple[str, str, int]
@@ -175,15 +171,14 @@ class BehaviorGraph:
 
 def graph_to_json_obj(g: BehaviorGraph) -> dict:
     nodes = []
-    for node in sorted(g.nodes.values(), key=lambda n: (_node_type(n), _node_label(n))):
-        obj = {"id": node_id(node), "type": _node_type(node), "label": _node_label(node)}
+    for nid, node in sorted(g.nodes.items(), key=lambda item: (item[1].json_type, item[1].label)):
+        obj = {"id": nid, "type": node.json_type, "label": node.label}
         if isinstance(node, AppComponent) and node.kind is not None:
             obj["kind"] = node.kind
         nodes.append(obj)
     edges = []
-    for (src, dst, code) in sorted(g.edges):
+    for (src, dst, code), content in sorted(g.edges.items()):
         obj = {"src": src, "dst": dst, "code": code}
-        content = g.edges[(src, dst, code)]
         if content is not None:
             obj["content"] = content
         edges.append(obj)
@@ -196,35 +191,28 @@ def graph_to_json(g: BehaviorGraph) -> str:
 
 
 def graph_from_json_obj(obj) -> BehaviorGraph:
+    """JSON types are checked here, ids and edges in ``BehaviorGraph``."""
     if not isinstance(obj, dict):
         raise CorruptGraph("graph JSON must be an object")
     try:
         origin = obj["origin"]
         node_map: dict[str, GraphNode] = {}
         for n in obj["nodes"]:
-            ntype, label = n["type"], n["label"]
-            if ntype == "app":
-                kind = n.get("kind")
-                if not isinstance(kind, (str, type(None))):
-                    raise CorruptGraph(f"node kind must be a string: {kind!r}")
-                node: GraphNode = AppComponent(label, kind)
-            elif ntype == "system":
-                node = SystemComponent(label)
-            elif ntype == "action":
-                node = IntentAction(label)
-            else:
+            nid, ntype, label, kind = n["id"], n["type"], n["label"], n.get("kind")
+            cls = NODE_TYPES.get(ntype)
+            if cls is None:
                 raise CorruptGraph(f"unknown node type {ntype!r}")
-            nid = n["id"]
-            if nid != node_id(node):
-                raise CorruptGraph(f"node id {nid!r} does not match its label")
+            if not isinstance(nid, str) or not isinstance(label, str):
+                raise CorruptGraph(f"node id and label must be strings: {nid!r}, {label!r}")
+            if cls is AppComponent and not isinstance(kind, (str, type(None))):
+                raise CorruptGraph(f"node kind must be a string: {kind!r}")
             if nid in node_map:
                 raise CorruptGraph("duplicate node ids")
-            node_map[nid] = node
-        edge_items = [
-            (e["src"], e["dst"], e["code"], e.get("content")) for e in obj["edges"]
-        ]
+            node_map[nid] = AppComponent(label, kind) if cls is AppComponent else cls(label)
+        edge_items = [(e["src"], e["dst"], e["code"], e.get("content")) for e in obj["edges"]]
     except (KeyError, TypeError) as exc:
         raise CorruptGraph(f"malformed graph JSON: {exc}") from exc
+    keys = {nid: nid for nid in node_map}  # edge endpoints share the node-key strings
     edges: dict[EdgeKey, str | None] = {}
     for src, dst, code, content in edge_items:
         if not isinstance(src, str) or not isinstance(dst, str):
@@ -233,7 +221,7 @@ def graph_from_json_obj(obj) -> BehaviorGraph:
             raise CorruptGraph(f"edge code must be an integer: {code!r}")
         if not isinstance(content, (str, type(None))):
             raise CorruptGraph(f"edge content must be a string: {content!r}")
-        key = (src, dst, code)
+        key = (keys.get(src, src), keys.get(dst, dst), code)
         if key in edges:
             raise CorruptGraph(f"duplicate edge {key}")
         edges[key] = content
@@ -316,15 +304,11 @@ def complete_rbg(sbg: BehaviorGraph, trace, pkg: AppPackage) -> BehaviorGraph:
                 nodes[caller_id] = AppComponent(record.caller, None)
             else:
                 raise UnknownCaller(record)
-        ttype, value = record.target
+        ttype, value = record.target  # "component", "system" or "action"
         if ttype == "component":
             dst: GraphNode = AppComponent(value, kinds.get(value))
-        elif ttype == "system":
-            dst = SystemComponent(value)
-        elif ttype == "action":
-            dst = IntentAction(value)
         else:
-            raise ValueError(f"bad target type {ttype!r}")
+            dst = NODE_TYPES[ttype](value)
         dst_id = node_id(dst)
         nodes.setdefault(dst_id, dst)
         edges.setdefault((caller_id, dst_id, record.code), record.content)

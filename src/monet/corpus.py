@@ -52,9 +52,9 @@ from .matcher import (
     DEFAULT_ALPHA,
     DEFAULT_THRESHOLD,
     MODES,
+    decide,
     exact_threshold,
     match_rbg,
-    match_sss,
     similarity,
     upper_bound_value,
 )
@@ -755,16 +755,17 @@ def run_eval(families: int, variants_per_family: int = 12, benign_count: int = 5
     def evaluate(pkg, trace, positive: bool, op_id: int | None):
         nonlocal pruning_checked, pruning_disagreements
         sig = signature_of(pkg, trace)
-        suspect = decouple(sig.rbg)
-        graph_hit = match_rbg(suspect, store, th, alpha)
-        sss_hits = match_sss(sig.sss, store.blacklist)
+        verdict = decide(sig, store, th, "combined", alpha)
         if verify_pruning:
             pruning_checked += 1
-            full = match_rbg(suspect, store, th, alpha=10**9)
-            if (full and full[0]) != (graph_hit and graph_hit[0]):
+            full = match_rbg(decouple(sig.rbg), store, th, alpha=10**9)
+            if (full and full[0]) != verdict.family:
                 pruning_disagreements += 1
-        flagged = {"sss_only": bool(sss_hits), "rbg_only": graph_hit is not None}
-        flagged["combined"] = flagged["sss_only"] or flagged["rbg_only"]
+        flagged = {
+            "sss_only": verdict.matched_blacklist is not None,
+            "rbg_only": verdict.family is not None,
+            "combined": verdict.decision == "malicious",
+        }
         for mode in MODES:
             detected = flagged[mode]
             c = counts[mode]

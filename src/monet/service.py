@@ -14,6 +14,7 @@ HTTP/1.1 + JSON endpoints:
 Requests run against an immutable store snapshot; inserts build a new store
 and swap the reference under a lock, so in-flight matches are isolated from
 concurrent updates.  Malformed bodies get a 4xx JSON error, never a crash.
+A client that resets its connection is dropped with a debug log line.
 """
 
 from __future__ import annotations
@@ -151,6 +152,13 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, fmt, *args):  # route access logs through logging
         log.debug("%s %s", self.address_string(), fmt % args)
 
+    def handle_one_request(self):
+        try:
+            super().handle_one_request()
+        except ConnectionError as exc:  # a reset or a broken pipe: the client went away
+            log.debug("%s closed the connection: %s", self.address_string(), exc)
+            self.close_connection = True
+
     def _send(self, status: int, payload: dict) -> None:
         data = json.dumps(payload, sort_keys=True).encode()
         self.send_response(status)
@@ -194,8 +202,8 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send(404, {"error": "not found"})
         except BadRequest as exc:
             self._send(exc.status, {"error": str(exc)})
-        except TimeoutError:
-            raise  # a stalled client: handle_one_request drops the connection, no reply
+        except (TimeoutError, ConnectionError):
+            raise  # a stalled or vanished client: handle_one_request drops the connection
         except Exception as exc:  # malformed input must never kill the server
             log.exception("internal error handling %s", self.path)
             self._send(500, {"error": f"internal error: {exc}"})

@@ -7,6 +7,7 @@ the similarity oracle enumerates every injective compatible mapping outright.
 
 from __future__ import annotations
 
+import copy
 import random
 from collections import Counter
 from fractions import Fraction
@@ -304,3 +305,44 @@ def random_multi_cluster_rbg(rng: random.Random) -> BehaviorGraph:
     used = {dst for _, dst, _ in edges}
     side_nodes = [n for n in (*shared, *actions) if n in used]
     return BehaviorGraph.of("runtime", nodes + side_nodes, edges)
+
+
+# ---------------------------------------------------------------------------
+# JSON mutants
+# ---------------------------------------------------------------------------
+
+_JUNK = (None, True, False, 0, 1, -1, 2**70, 1.5, "", "app", "system", "action",
+         "app:com.t.C0", "sys:ISms", [], [None], {}, {"id": 1})
+
+
+def mutate_json(obj, rng: random.Random):
+    """A copy of a JSON tree with one to three edits anywhere in it: a value
+    replaced by junk or by another value of the tree, dropped, duplicated, or
+    a key added."""
+    obj = copy.deepcopy(obj)
+    for _ in range(rng.randint(1, 3)):
+        slots = []  # (container, key) of every value below the root
+        stack = [obj]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (dict, list)):
+                for key in (list(node) if isinstance(node, dict) else range(len(node))):
+                    slots.append((node, key))
+                    stack.append(node[key])
+        if not slots or rng.random() < 0.01:
+            return copy.deepcopy(rng.choice(_JUNK))
+        node, key = rng.choice(slots)
+        roll = rng.random()
+        if roll < 0.35:
+            node[key] = copy.deepcopy(rng.choice(_JUNK))
+        elif roll < 0.6:
+            other, other_key = rng.choice(slots)
+            node[key] = copy.deepcopy(other[other_key])
+        elif roll < 0.75:
+            del node[key]
+        elif roll < 0.9 and isinstance(node, list):
+            node.insert(key, copy.deepcopy(node[key]))
+        elif isinstance(node, dict):
+            new_key = rng.choice(("id", "label", "kind", "content", "type", "extra"))
+            node[new_key] = copy.deepcopy(rng.choice(_JUNK))
+    return obj

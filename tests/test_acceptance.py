@@ -6,6 +6,7 @@ lines as they complete.
 
 import json
 import random
+import statistics
 import threading
 import time
 from collections import Counter
@@ -253,12 +254,19 @@ def test_c07_match_latency_against_thousand_signature_store():
     n = decouple(sig.rbg)[0].app_count
     assert len(store.range_candidates(n, 5)) == 1000
 
-    start = time.perf_counter()
-    verdict = decide(sig, store, 0.8, "combined", alpha=5)
-    elapsed = time.perf_counter() - start
-    assert elapsed < 1.0, f"match took {elapsed:.3f}s"
-    assert verdict.decision == "clean"  # unrelated seed: no family matches
-    _ok(7, f"1 signature vs 1000-signature store in {elapsed * 1000:.0f} ms")
+    # The first call also builds the matcher profiles of the window's graphs,
+    # so the cold call and the warm calls are timed apart.
+    times = []
+    for _ in range(4):
+        start = time.perf_counter()
+        verdict = decide(sig, store, 0.8, "combined", alpha=5)
+        times.append(time.perf_counter() - start)
+        assert verdict.decision == "clean"  # unrelated seed: no family matches
+    cold, warm = times[0], statistics.median(times[1:])
+    assert cold < 1.0, f"cold match took {cold:.3f}s"
+    assert warm < 1.0, f"warm match took {warm:.3f}s (median of 3)"
+    _ok(7, f"1 signature vs 1000-signature store: cold {cold * 1000:.0f} ms, "
+           f"warm {warm * 1000:.1f} ms (median of 3)")
 
 
 def _request_bodies(templates, count):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 
@@ -17,13 +18,16 @@ from monet.behavior_graph import (
     complete_rbg,
     decouple,
     graph_from_json,
+    graph_from_json_obj,
     graph_to_json,
+    graph_to_json_obj,
     is_decoupled,
 )
+from monet.corpus import SizeParams, generate_family
 from monet.pipeline import intent_calls, runtime_graph, static_graph
 from monet.trace import BinderRecord, TraceLog, parse_trace
 
-from oracles import random_cluster_graph, random_multi_cluster_rbg
+from oracles import mutate_json, random_cluster_graph, random_multi_cluster_rbg
 
 TWO_COMP_SRC = """\
 package com.t.app
@@ -317,6 +321,65 @@ def test_graph_json_rejects_garbage():
         graph_from_json('{"origin": "runtime", "nodes": [], "edges": [{"src": "a", "dst": "b", "code": 1}]}')
     with pytest.raises(CorruptGraph):
         graph_from_json('{"origin": "sideways", "nodes": [], "edges": []}')
+
+
+def _pinned_graphs() -> list[BehaviorGraph]:
+    """Static, runtime and decoupled graphs of generated families, in both
+    corpus sizes, and random clusters with kind-less and action nodes."""
+    graphs = []
+    for size in (SizeParams(), SizeParams(malicious_components=(9, 11), benign_components=(0, 0))):
+        for seed in range(3):
+            t = generate_family(seed, size)
+            rbg = runtime_graph(t.base_pkg, t.base_trace)
+            graphs += [static_graph(t.base_pkg), rbg, *decouple(rbg)]
+    rng = random.Random(12)
+    graphs += [random_cluster_graph(rng) for _ in range(20)]
+    return graphs
+
+
+PINNED_GRAPH_JSON_SHA256 = "0eb6868b44f6cc34434f83e212477750e2e437f7e6aec675587c41a36c24d5ff"
+
+
+def test_graph_json_is_pinned():
+    """Graph JSON is what the store file and the HTTP API carry: a change to
+    the node classes must not change a byte of it."""
+    digest = hashlib.sha256()
+    for g in _pinned_graphs():
+        text = graph_to_json(g)
+        assert graph_from_json(text) == g
+        digest.update(text.encode())
+    assert digest.hexdigest() == PINNED_GRAPH_JSON_SHA256
+
+
+def test_graph_json_mutants_raise_only_corrupt_graph():
+    rng = random.Random(20161)
+    bases = [graph_to_json_obj(g) for g in _pinned_graphs()]
+    parsed = 0
+    for _ in range(4000):
+        mutant = mutate_json(rng.choice(bases), rng)
+        try:
+            g = graph_from_json_obj(mutant)
+        except CorruptGraph:
+            continue
+        parsed += 1
+        assert graph_from_json(graph_to_json(g)) == g
+    assert 0 < parsed < 4000
+
+
+@pytest.mark.parametrize("label", [[], 7, None])
+@pytest.mark.parametrize("ntype", ["app", "system", "action"])
+def test_non_string_label_is_corrupt(ntype, label):
+    obj = {"origin": "runtime", "nodes": [{"id": "app:x", "type": ntype, "label": label}], "edges": []}
+    with pytest.raises(CorruptGraph):
+        graph_from_json_obj(obj)
+
+
+def test_parsed_edge_endpoints_are_the_node_keys():
+    g = graph_from_json(graph_to_json(_pinned_graphs()[1]))
+    keys = {nid: nid for nid in g.nodes}
+    assert g.edges
+    for src, dst, _ in g.edges:
+        assert src is keys[src] and dst is keys[dst]
 
 
 def test_runtime_graph_pipeline_matches_manual_steps(chain_pkg_source):

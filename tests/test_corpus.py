@@ -1,4 +1,5 @@
 import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -177,6 +178,20 @@ def test_run_eval_arithmetic_consistency():
     json_obj = report.to_json_obj()
     assert json_obj["modes"]["combined"]["tp"] == report.counts["combined"].tp
     assert report.format_table()
+
+
+PINNED_EVAL_SHA256 = "aee3c6e195b7f2ea5541a1c6aa6585f730940766777248a404dc3c4bc333ced6"
+
+
+def test_run_eval_report_is_pinned():
+    """At 0.2 benign apps pass the graph threshold but not the blacklist, so
+    the three modes count differently."""
+    digest = hashlib.sha256()
+    for threshold in (0.8, 0.2):
+        report = run_eval(families=2, variants_per_family=6, benign_count=8, master_seed=3,
+                          threshold=threshold, verify_pruning=True)
+        digest.update(json.dumps(report.to_json_obj(), sort_keys=True).encode())
+    assert digest.hexdigest() == PINNED_EVAL_SHA256
 
 
 def test_blacklist_comes_from_malicious_trace():

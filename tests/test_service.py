@@ -1,11 +1,12 @@
 import json
 import random
 import socket
+import struct
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from monet.behavior_graph import graph_to_json_obj
+from monet.behavior_graph import CorruptGraph, graph_from_json_obj, graph_to_json_obj
 from monet.corpus import (
     family_blacklist,
     family_signature,
@@ -27,6 +28,7 @@ from monet.sigstore import (
 )
 
 from conftest import http_json, running_server
+from oracles import mutate_json
 
 
 def small_store(n_families=2, seed=50):
@@ -251,6 +253,54 @@ def test_malformed_sss_is_rejected(sss):
     body["signature"]["sss"] = sss
     with pytest.raises(BadRequest):
         DetectionService(store).handle_match(body)
+
+
+def test_match_with_mutated_graph_answers_400_not_500(caplog):
+    store, templates = small_store(1)
+    body = signature_body(signature_of(templates[0].base_pkg, templates[0].base_trace))
+    rbg = body["signature"]["rbg"]
+    service = DetectionService(store)
+    rng = random.Random(8743)
+    corrupt = []
+    for _ in range(1000):
+        mutant = mutate_json(rbg, rng)
+        body["signature"]["rbg"] = mutant
+        try:
+            graph_from_json_obj(mutant)
+        except CorruptGraph:
+            corrupt.append(mutant)
+            with pytest.raises(BadRequest) as exc_info:
+                service.handle_match(body)
+            assert exc_info.value.status == 400
+    assert corrupt
+    with running_server(store) as addr:
+        for mutant in corrupt[:40]:
+            body["signature"]["rbg"] = mutant
+            status, resp = http_json(addr, "POST", "/v1/match", body)
+            assert status == 400, resp
+    assert "Traceback" not in caplog.text and "internal error" not in caplog.text
+
+
+@pytest.mark.parametrize("body_sent", ["whole", "half"])
+def test_client_reset_is_not_an_internal_error(body_sent, caplog, capsys):
+    """A client that resets the connection after its request (the server's
+    reply fails) or halfway through the body (the server's read fails)."""
+    store, templates = small_store(1)
+    payload = json.dumps(signature_body(signature_of(templates[0].base_pkg, templates[0].base_trace))).encode()
+    request = (b"POST /v1/match HTTP/1.1\r\nHost: t\r\nContent-Type: application/json\r\n"
+               b"Content-Length: %d\r\n\r\n%s" % (len(payload), payload))
+    if body_sent == "half":
+        request = request[:len(request) - len(payload) // 2]
+    with running_server(store) as addr:
+        for _ in range(5):
+            sock = socket.create_connection(addr, timeout=5)
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            sock.sendall(request)
+            sock.close()  # linger 0: the close sends a reset, not a FIN
+        status, _ = http_json(addr, "GET", "/v1/health")
+        assert status == 200
+    logged = caplog.text + capsys.readouterr().err
+    assert "Traceback" not in logged and "internal error" not in logged
 
 
 def test_concurrent_requests_match_serial_results():

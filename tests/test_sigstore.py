@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import json
 import os
 import random
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from monet import sigstore
 from monet.behavior_graph import AppComponent, BehaviorGraph, CorruptGraph, SystemComponent, graph_to_json_obj
+from monet.corpus import family_blacklist, family_signature, generate_family
 from monet.matcher import NotDecoupled, RuntimeBehaviorSignature, decide
 from monet.sigstore import (
     ChecksumMismatch,
@@ -34,6 +36,26 @@ from oracles import random_cluster_graph
 
 def _single_cluster(rng):
     return random_cluster_graph(rng, max_app=5, max_total=8)
+
+
+PINNED_STORE_SHA256 = "2369fe394078eacc110ea54cae525acddf226b4cd725f2a2ee479cd482cf8c07"
+
+
+def test_store_file_is_pinned(tmp_path):
+    """``store.dat`` bytes for a fixed store: generated families with their
+    blacklist, and random clusters with kind-less and action nodes."""
+    store = empty_store()
+    for i in range(3):
+        t = generate_family(40 + i)
+        store = insert_signature(store, family_signature(t, f"fam{i:02d}"))
+        store = merge_blacklist(store, *family_blacklist(t))
+    rng = random.Random(9)
+    store = insert_signature(store, FamilySignature("famR", tuple(_single_cluster(rng) for _ in range(8)), "r"))
+    save_store(store, tmp_path / "a")
+    data = (tmp_path / "a" / "store.dat").read_bytes()
+    save_store(load_store(tmp_path / "a"), tmp_path / "b")
+    assert (tmp_path / "b" / "store.dat").read_bytes() == data
+    assert hashlib.sha256(data).hexdigest() == PINNED_STORE_SHA256
 
 
 def test_insert_indexes_by_app_component_count():
