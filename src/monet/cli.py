@@ -75,6 +75,21 @@ def _dump_dataflow(pkg, dest: str) -> None:
     _write(dest, json.dumps(dump, indent=2, sort_keys=True) + "\n")
 
 
+def _threshold(text: str) -> float:
+    """A ``--threshold`` in (0, 1], the range ``/v1/match`` accepts."""
+    value = float(text)
+    if not 0 < value <= 1:  # also false for nan
+        raise argparse.ArgumentTypeError(f"threshold must be a number in (0, 1], not {text!r}")
+    return value
+
+
+def _alpha(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"alpha must be a non-negative integer, not {text!r}")
+    return value
+
+
 def _cmd_sbg(args) -> int:
     pkg = parse_package(_read(args.package))
     if args.debug_dataflow:
@@ -211,23 +226,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sss")
     p.add_argument("--app", default="suspect")
     p.add_argument("--mode", choices=MODES, default="combined")
-    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
-    p.add_argument("--alpha", type=int, default=DEFAULT_ALPHA)
+    p.add_argument("--threshold", type=_threshold, default=DEFAULT_THRESHOLD)
+    p.add_argument("--alpha", type=_alpha, default=DEFAULT_ALPHA)
     p.set_defaults(fn=_cmd_match)
 
     p = sub.add_parser("serve", help="run the detection server")
     p.add_argument("--store", required=True, help="store directory")
     p.add_argument("--listen", default="127.0.0.1:8743")
-    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
-    p.add_argument("--alpha", type=int, default=DEFAULT_ALPHA)
+    p.add_argument("--threshold", type=_threshold, default=DEFAULT_THRESHOLD)
+    p.add_argument("--alpha", type=_alpha, default=DEFAULT_ALPHA)
     p.set_defaults(fn=_cmd_serve)
 
     p = sub.add_parser("eval", help="synthetic transformation-resilience evaluation")
     p.add_argument("--families", type=int, default=10)
     p.add_argument("--variants", type=int, default=12)
     p.add_argument("--benign", type=int, default=100)
-    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
-    p.add_argument("--alpha", type=int, default=DEFAULT_ALPHA)
+    p.add_argument("--threshold", type=_threshold, default=DEFAULT_THRESHOLD)
+    p.add_argument("--alpha", type=_alpha, default=DEFAULT_ALPHA)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--verify-pruning", action="store_true")
     p.add_argument("-o", "--output", help="write the JSON report here")

@@ -19,13 +19,24 @@ system-side labels are unique within a graph, system and action nodes are
 pre-matched by label; the remaining search maximizes matched edges over
 injective app-component mappings.
 
-``match_rbg`` searches only the window's candidates whose count bound, the
-shared-token count of the two graphs' label multisets, reaches the threshold in
-an integer comparison.  The search is one branch and bound.  A caller that
-needs only some score passes it as ``floor``, and subtrees whose bound cannot
-reach it are pruned, so unrelated pairs are rejected without finding their
-maximum.  A search stops after ``SEARCH_BUDGET`` node expansions, and a result
-cut short says so (``exact=False``) and carries a proven upper ``bound``.
+``match_rbg`` filters the window in two stages, both compared with the
+threshold in integers.  The exact stage is the count bound: the shared-token
+count of the two graphs' label multisets (system and action ids, app kinds,
+edge codes), which no mapping can beat.  Before it, a screen reads a label
+mask from each index entry: ``label_mask`` hashes each label into one of
+``MASK_WIDTH`` buckets, and the j-th label of a bucket sets bit
+``j * MASK_WIDTH + bucket``.  Two masks then share, per bucket, the smaller of
+the two bucket counts, which is at least the sum of the per-label minima that
+the bucket holds, so ``(m1 & m2).bit_count()`` never falls below the shared
+count and the screen drops only candidates that the exact bound drops too.
+Only candidates that pass both are sorted and searched.  The masks depend on
+the process's string hashes; the verdicts do not.
+
+The search is one branch and bound.  A caller that needs only some score
+passes it as ``floor``, and subtrees whose bound cannot reach it are pruned,
+so unrelated pairs are rejected without finding their maximum.  A search
+stops after ``SEARCH_BUDGET`` node expansions, and a result cut short says so
+(``exact=False``) and carries a proven upper ``bound``.
 
 Scores are exact rationals so that threshold comparisons and the published
 worked example hold with zero tolerance.
@@ -54,8 +65,10 @@ MODES = ("sss_only", "rbg_only", "combined")
 DEFAULT_THRESHOLD = Fraction(4, 5)
 DEFAULT_ALPHA = 5
 
-# One object per (key, j) token of stored graphs, so the scan matches them by identity; suspects only look up.
-_TOKENS: dict[tuple, tuple] = {}
+# Buckets of a label mask.  A fixed width keeps a mask's size a function of its
+# own graph's labels, not of how many distinct labels the store holds.
+MASK_WIDTH = 256
+
 
 class NotDecoupled(Exception):
     """A graph offered for matching still contains several app clusters."""
@@ -99,7 +112,7 @@ class _Profile:
 
     __slots__ = ("nodes", "edges", "order", "sys_ids", "kind_counts", "tokens", "canon", "clusters")
 
-    def __init__(self, g: BehaviorGraph, intern):
+    def __init__(self, g: BehaviorGraph):
         self.nodes, self.edges = g.nodes, g.edges
         ids = sorted(g.nodes)
         app_ids = [nid for nid in ids if nid.startswith("app:")]
@@ -110,18 +123,32 @@ class _Profile:
         kinds = tuple(g.nodes[nid].kind for nid in app_ids)  # type: ignore[union-attr]
         self.kind_counts = Counter(kinds)
         counts = (*self.kind_counts.items(), *Counter(code for _, _, code in g.edges).items())
-        toks = [(k, j) for k, n in counts for j in range(n)]
-        self.tokens = self.sys_ids.union(map(intern, toks, toks))
+        self.tokens = self.sys_ids.union((k, j) for k, n in counts for j in range(n))
         # Orientation key: keeps similarity symmetric even when a search is
         # cut short by its budget.
         self.canon = (tuple(ids), tuple(sorted(g.edges)), tuple(k or "" for k in kinds))
         self.clusters: int | None = None  # counted when the graph is first searched
 
 
-def _profile(g: BehaviorGraph, intern=_TOKENS.get) -> _Profile:
+def _profile(g: BehaviorGraph) -> _Profile:
     if g._profile is None:
-        g._profile = _Profile(g, intern)
+        g._profile = _Profile(g)
     return g._profile
+
+
+def label_mask(g: BehaviorGraph) -> int:
+    """Count mask of the labels behind ``_Profile.tokens``: the j-th label
+    (system or action id, app kind, edge code) to fall in bucket
+    ``hash(label) % MASK_WIDTH`` sets bit ``j * MASK_WIDTH + bucket``."""
+    width, next_bit, mask = MASK_WIDTH, {}, 0
+    labels = [n.kind if nid.startswith("app:") else nid for nid, n in g.nodes.items()]  # type: ignore[union-attr]
+    labels += [code for _, _, code in g.edges]
+    for label in labels:
+        bucket = hash(label) % width
+        bit = next_bit.get(bucket, bucket)
+        next_bit[bucket] = bit + width
+        mask |= 1 << bit
+    return mask
 
 
 def _value(units: int, total: int) -> Fraction:
@@ -301,10 +328,16 @@ def match_rbg(suspect, store, threshold=DEFAULT_THRESHOLD, alpha: int = DEFAULT_
     num, den = th.numerator, 2 * th.denominator
     best: tuple[str, SimilarityScore] | None = None
     for g in suspect:
-        p, survivors = _profile(g), []
-        # Sort and search only candidates whose bound 2*shared/total reaches th.
+        mask, size, survivors = label_mask(g), len(g.nodes) + len(g.edges), []
         for ref in store.range_candidates(g.app_count, alpha):
-            shared, total = _shared_total(p, _profile(cand := store.graph(ref), _TOKENS.setdefault))
+            # The screen over-counts shared tokens, so what fails it fails the bound.
+            ref_mask = ref.mask
+            if ref_mask is None:  # filled once per index entry, by the first scan that reads it
+                ref_mask = ref.mask = label_mask(store.graph(ref))
+            if den * (ref_mask & mask).bit_count() < num * (ref.size + size):
+                continue
+            # Sort and search only candidates whose bound 2*shared/total reaches th.
+            shared, total = _shared_total(_profile(g), _profile(cand := store.graph(ref)))
             if den * shared >= num * total:
                 survivors.append((ref, cand, _value(shared, total)))
         survivors.sort(key=lambda s: (s[0].family_id, s[0].ordinal))

@@ -63,10 +63,16 @@ class FamilySignature:
     notes: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class GraphRef:
+    """One index entry: where a stored graph lives, its vertex + edge count,
+    and its ``label_mask``, which the first window scan that reads the entry
+    fills in.  Entries compare and hash by location, which never changes."""
+
     family_id: str
     ordinal: int
+    size: int = field(compare=False)
+    mask: int | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -119,7 +125,7 @@ def insert_signature(store: SignatureStore, family: FamilySignature) -> Signatur
     for g in family.graphs:
         if g in kept:
             continue
-        index = index.insert(g.app_count, GraphRef(family.family_id, len(kept)))
+        index = index.insert(g.app_count, _entry(family.family_id, len(kept), g))
         kept.append(g)
 
     notes = family.notes or (existing.notes if existing else "")
@@ -136,6 +142,10 @@ def _admit(family_id: str, g: BehaviorGraph) -> None:
         raise NotDecoupled(f"family {family_id}: graph is not a single app cluster")
 
 
+def _entry(family_id: str, ordinal: int, g: BehaviorGraph) -> GraphRef:
+    return GraphRef(family_id, ordinal, len(g.nodes) + len(g.edges))
+
+
 def merge_blacklist(store: SignatureStore, endpoints=(), executables=()) -> SignatureStore:
     bl = Sss(store.blacklist.endpoints.union(endpoints), store.blacklist.executables.union(executables))
     return SignatureStore(dict(store.families), bl, store.index, store.version + 1)
@@ -146,7 +156,7 @@ def rebuild_index(families: dict[str, FamilySignature]) -> BplusIndex:
     index = BplusIndex()
     for fid in sorted(families):
         for ordinal, g in enumerate(families[fid].graphs):
-            index = index.insert(g.app_count, GraphRef(fid, ordinal))
+            index = index.insert(g.app_count, _entry(fid, ordinal, g))
     return index
 
 

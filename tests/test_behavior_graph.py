@@ -382,6 +382,22 @@ def test_parsed_edge_endpoints_are_the_node_keys():
         assert src is keys[src] and dst is keys[dst]
 
 
+def test_parsed_graphs_share_their_system_side_strings():
+    text = graph_to_json(_pinned_graphs()[1])
+    g1, g2 = graph_from_json(text), graph_from_json(text)
+
+    def shared_strings(g):
+        keys = {nid: nid for nid in g.nodes}
+        sys_side = [(keys[nid], n.label) for nid, n in g.nodes.items() if not nid.startswith("app:")]
+        kinds = [n.kind for n in g.app_components()]
+        return sys_side, kinds, [content for content in g.edges.values() if content is not None]
+
+    (sys1, kinds1, contents1), (sys2, kinds2, contents2) = shared_strings(g1), shared_strings(g2)
+    assert sys1 and kinds1 and contents1
+    assert all(a is b for pair1, pair2 in zip(sys1, sys2) for a, b in zip(pair1, pair2))
+    assert all(a is b for a, b in zip(kinds1 + contents1, kinds2 + contents2))
+
+
 def test_runtime_graph_pipeline_matches_manual_steps(chain_pkg_source):
     pkg = parse_package(chain_pkg_source)
     trace = TraceLog("com.example.app")

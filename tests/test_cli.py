@@ -4,7 +4,7 @@ import zlib
 
 import pytest
 
-from monet import sigstore
+from monet import service, sigstore
 from monet.behavior_graph import graph_from_json, graph_to_json
 from monet.cli import main
 from monet.corpus import generate_family, malicious_graph
@@ -226,6 +226,20 @@ def test_sign_rejects_malformed_blacklist_file(tmp_path, capsys, blacklist_text)
 def test_serve_without_store_is_a_usage_error(capsys):
     assert main(["serve"]) == 2
     assert "--store" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["match", "serve", "eval"])
+@pytest.mark.parametrize("option, value", [("--threshold", "0"), ("--threshold", "1.5"),
+                                           ("--threshold", "nan"), ("--alpha", "-1")])
+def test_out_of_range_threshold_or_alpha_is_a_usage_error(tmp_path, capsys, monkeypatch,
+                                                          command, option, value):
+    monkeypatch.setattr(service, "serve", lambda *args: pytest.fail("server started"))
+    missing = str(tmp_path / "missing")
+    argv = {"match": ["match", "--store", missing, "--rbg", missing],
+            "serve": ["serve", "--store", missing],
+            "eval": ["eval", "--families", "1", "--variants", "1", "--benign", "1"]}[command]
+    assert main([*argv, option, value]) == 2
+    assert option.lstrip("-") in capsys.readouterr().err
 
 
 def test_debug_dataflow_dump(workdir, tmp_path):

@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 
 from monet import matcher
 from monet.behavior_graph import AppComponent, BehaviorGraph, SystemComponent, decouple
-from monet.corpus import generate_family
+from monet.corpus import (
+    InapplicableTransform,
+    SizeParams,
+    TransformOp,
+    apply_transform,
+    generate_family,
+    malicious_graph,
+)
 from monet.matcher import (
     NotDecoupled,
     RuntimeBehaviorSignature,
@@ -400,18 +407,55 @@ def test_match_rbg_searches_no_candidate_below_the_threshold(monkeypatch):
     assert below > 0  # the window held candidates for the filter to drop
 
 
-def test_window_scan_shares_stored_tokens_and_keeps_none_of_the_suspect():
+def test_window_scan_keeps_no_module_state_and_profiles_only_screened_in_graphs():
     a, b = AppComponent("com.x.A", "activity"), AppComponent("com.x.B", "service")
-    store = _store_with(("fam", [BehaviorGraph.of("runtime", [a, b], [(a, b, 7), (b, a, 7)])]))
-    c = AppComponent("com.x.C", "kind no store holds")
-    edges = [(a, b, 7), (b, c, 424242), (c, a, 424242)]
-    match_rbg([BehaviorGraph.of("runtime", [a, b, c], edges)], store)
-    kept = dict(matcher._TOKENS)
-    assert ("kind no store holds", 0) not in kept and (424242, 0) not in kept
-    suspect = matcher._profile(BehaviorGraph.of("runtime", [a, b, c], edges))
-    assert matcher._TOKENS == kept
-    stored = [t for t in suspect.tokens if t in kept]
-    assert len(stored) == 3 and all(t is kept[t] for t in stored)  # activity, service, code 7
+    near = BehaviorGraph.of("runtime", [a, b], [(a, b, 7), (b, a, 7)])
+    c, d = AppComponent("com.y.C", "receiver"), AppComponent("com.y.D", "provider")
+    far = BehaviorGraph.of("runtime", [c, d], [(c, d, 31), (d, c, 32)])
+    store = _store_with(("near", [near]), ("far", [far]))
+    hit = match_rbg([BehaviorGraph.of("runtime", [a, b], [(a, b, 7), (b, a, 7), (a, b, 9)])], store)
+    assert hit is not None and hit[0] == "near"
+    module_state = {name: value for name, value in vars(matcher).items()
+                    if isinstance(value, (dict, list, set)) and not name.startswith("__")}
+    assert module_state == {}  # no table for a scan to fill, so none outlives its store
+    refs = {ref.family_id: ref for ref in store.range_candidates(2, 5)}
+    assert all(ref.mask is not None for ref in refs.values())
+    assert near._profile is not None
+    assert far._profile is None  # the screen dropped it before any profile was built
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32))
+def test_label_masks_never_undercount_shared_tokens(seed):
+    rng = random.Random(seed)
+    g1 = random_cluster_graph(rng, 8, 12)
+    g2 = perturb_graph(rng, g1) if rng.random() < 0.5 else random_cluster_graph(rng, 8, 12)
+    for a, b in ((g1, g2), (_coarsened(g1), g2), (_coarsened(g1), _coarsened(g2))):
+        total = len(a.nodes) + len(b.nodes) + len(a.edges) + len(b.edges)
+        for x, y in ((a, b), (b, a)):
+            shared = (matcher.label_mask(x) & matcher.label_mask(y)).bit_count()
+            assert 2 * shared >= count_bound_reference(x, y) * total
+
+
+def _corpus_window_results():
+    size = SizeParams(benign_components=(0, 0))
+    templates = [generate_family(7000 + i, size) for i in range(24)]
+    store = _store_with(*((f"c{i:02d}", [malicious_graph(t)]) for i, t in enumerate(templates)))
+    suspects = [decouple(runtime_graph(t.base_pkg, t.base_trace))
+                for t in (generate_family(8000 + i, size) for i in range(6))]
+    for i, t in enumerate(templates[:12]):
+        try:
+            suspects.append(decouple(runtime_graph(*apply_transform(t, TransformOp(1 + i), seed=i))))
+        except InapplicableTransform:
+            continue
+    return [match_rbg(s, store, th, 5) for s in suspects for th in (Fraction(1, 2), Fraction(4, 5))]
+
+
+def test_match_rbg_is_the_same_when_every_label_shares_one_bucket(monkeypatch):
+    wide = _corpus_window_results()
+    monkeypatch.setattr(matcher, "MASK_WIDTH", 1)
+    assert _corpus_window_results() == wide
+    assert sum(hit is not None for hit in wide) >= 12
 
 
 def test_match_sss_intersection():
