@@ -26,7 +26,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from operator import attrgetter
-from sys import intern
 from typing import ClassVar
 
 from .app_model import AppPackage
@@ -209,12 +208,7 @@ def graph_from_json_obj(obj) -> BehaviorGraph:
                 raise CorruptGraph(f"node kind must be a string: {kind!r}")
             if nid in node_map:
                 raise CorruptGraph("duplicate node ids")
-            # System-side strings and app kinds recur across graphs, so parsed
-            # graphs share one copy of each; app ids and names stay per graph.
-            if cls is AppComponent:
-                node_map[nid] = AppComponent(label, kind if kind is None else intern(kind))
-            else:
-                node_map[intern(nid)] = cls(intern(label))
+            node_map[nid] = AppComponent(label, kind) if cls is AppComponent else cls(label)
         edge_items = [(e["src"], e["dst"], e["code"], e.get("content")) for e in obj["edges"]]
     except (KeyError, TypeError) as exc:
         raise CorruptGraph(f"malformed graph JSON: {exc}") from exc
@@ -230,7 +224,7 @@ def graph_from_json_obj(obj) -> BehaviorGraph:
         key = (keys.get(src, src), keys.get(dst, dst), code)
         if key in edges:
             raise CorruptGraph(f"duplicate edge {key}")
-        edges[key] = content if content is None else intern(content)
+        edges[key] = content
     return BehaviorGraph(origin, node_map, edges)
 
 

@@ -48,6 +48,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .behavior_graph import BehaviorGraph, app_clusters, decouple
 from .trace import Sss
@@ -119,14 +120,15 @@ class _Profile:
         degree = Counter(src for src, _, _ in g.edges)
         degree.update(dst for _, dst, _ in g.edges)
         self.order = sorted(app_ids, key=lambda i: (-degree[i], i))
-        self.sys_ids = frozenset(nid for nid in ids if not nid.startswith("app:"))
-        kinds = tuple(g.nodes[nid].kind for nid in app_ids)  # type: ignore[union-attr]
+        sys_ids, kinds, codes = _labels(g)
+        self.sys_ids = frozenset(sys_ids)
         self.kind_counts = Counter(kinds)
-        counts = (*self.kind_counts.items(), *Counter(code for _, _, code in g.edges).items())
+        counts = (*self.kind_counts.items(), *Counter(codes).items())
         self.tokens = self.sys_ids.union((k, j) for k, n in counts for j in range(n))
         # Orientation key: keeps similarity symmetric even when a search is
         # cut short by its budget.
-        self.canon = (tuple(ids), tuple(sorted(g.edges)), tuple(k or "" for k in kinds))
+        self.canon = (tuple(ids), tuple(sorted(g.edges)),
+                      tuple(g.nodes[nid].kind or "" for nid in app_ids))  # type: ignore[union-attr]
         self.clusters: int | None = None  # counted when the graph is first searched
 
 
@@ -136,19 +138,34 @@ def _profile(g: BehaviorGraph) -> _Profile:
     return g._profile
 
 
+def _labels(g: BehaviorGraph) -> tuple[list, list, list]:
+    """The labels that the count bound and the mask compare: system and action
+    ids (unique within a graph), app kinds, and edge codes."""
+    sys_ids, kinds = [], []
+    for nid, node in g.nodes.items():
+        if nid.startswith("app:"):
+            kinds.append(node.kind)  # type: ignore[union-attr]
+        else:
+            sys_ids.append(nid)
+    return sys_ids, kinds, [code for _, _, code in g.edges]
+
+
 def label_mask(g: BehaviorGraph) -> int:
     """Count mask of the labels behind ``_Profile.tokens``: the j-th label
-    (system or action id, app kind, edge code) to fall in bucket
-    ``hash(label) % MASK_WIDTH`` sets bit ``j * MASK_WIDTH + bucket``."""
-    width, next_bit, mask = MASK_WIDTH, {}, 0
-    labels = [n.kind if nid.startswith("app:") else nid for nid, n in g.nodes.items()]  # type: ignore[union-attr]
-    labels += [code for _, _, code in g.edges]
-    for label in labels:
+    to fall in bucket ``hash(label) % MASK_WIDTH`` sets bit
+    ``j * MASK_WIDTH + bucket``.  The bits go into a byte buffer sized for the
+    worst case, every label in one bucket, and become an int once, so the cost
+    stays linear in the labels however they fall."""
+    width = MASK_WIDTH
+    next_bit = list(range(width))
+    sys_ids, kinds, codes = _labels(g)
+    buf = bytearray((len(sys_ids) + len(kinds) + len(codes)) * width // 8 + 1)
+    for label in chain(sys_ids, kinds, codes):
         bucket = hash(label) % width
-        bit = next_bit.get(bucket, bucket)
+        bit = next_bit[bucket]
         next_bit[bucket] = bit + width
-        mask |= 1 << bit
-    return mask
+        buf[bit >> 3] |= 1 << (bit & 7)
+    return int.from_bytes(buf, "little")
 
 
 def _value(units: int, total: int) -> Fraction:

@@ -1,5 +1,8 @@
 import hashlib
+import json
 import random
+import sys
+import uuid
 from collections import Counter
 
 import pytest
@@ -382,20 +385,22 @@ def test_parsed_edge_endpoints_are_the_node_keys():
         assert src is keys[src] and dst is keys[dst]
 
 
-def test_parsed_graphs_share_their_system_side_strings():
-    text = graph_to_json(_pinned_graphs()[1])
-    g1, g2 = graph_from_json(text), graph_from_json(text)
-
-    def shared_strings(g):
-        keys = {nid: nid for nid in g.nodes}
-        sys_side = [(keys[nid], n.label) for nid, n in g.nodes.items() if not nid.startswith("app:")]
-        kinds = [n.kind for n in g.app_components()]
-        return sys_side, kinds, [content for content in g.edges.values() if content is not None]
-
-    (sys1, kinds1, contents1), (sys2, kinds2, contents2) = shared_strings(g1), shared_strings(g2)
-    assert sys1 and kinds1 and contents1
-    assert all(a is b for pair1, pair2 in zip(sys1, sys2) for a, b in zip(pair1, pair2))
-    assert all(a is b for a, b in zip(kinds1 + contents1, kinds2 + contents2))
+def test_parsing_interns_none_of_the_strings_a_graph_brings():
+    # An interned string outlives its graph (on CPython 3.12, the process), so
+    # a parse that interned what a request sends would grow a server for good.
+    tag = uuid.uuid4().hex
+    a = AppComponent(f"com.x.A{tag}", f"kind{tag}")
+    svc, act = SystemComponent(f"Svc{tag}"), IntentAction(f"ACTION_{tag}")
+    obj = graph_to_json_obj(BehaviorGraph.of("runtime", [a, svc, act], [(a, svc, 3), (a, act, 4)]))
+    obj["edges"][0]["content"] = f"payload{tag}"
+    g = graph_from_json(json.dumps(obj))
+    strings = [*g.nodes, *(n.label for n in g.nodes.values()), *(n.kind for n in g.app_components()),
+               *(content for content in g.edges.values() if content is not None)]
+    assert len(strings) == 8
+    for text in strings:
+        copy = text[:1] + text[1:]
+        assert tag in copy and copy is not text
+        assert sys.intern(copy) is copy  # no equal string was in the intern table
 
 
 def test_runtime_graph_pipeline_matches_manual_steps(chain_pkg_source):

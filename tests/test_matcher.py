@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -435,6 +436,28 @@ def test_label_masks_never_undercount_shared_tokens(seed):
         for x, y in ((a, b), (b, a)):
             shared = (matcher.label_mask(x) & matcher.label_mask(y)).bit_count()
             assert 2 * shared >= count_bound_reference(x, y) * total
+
+
+def test_label_mask_is_linear_when_every_label_shares_one_bucket():
+    # hash(k * 256) % 256 == 0, so each edge code of `piled` lands in bucket 0
+    # and sets the next bit up in that bucket's run.
+    a, b = AppComponent("com.x.A", "activity"), AppComponent("com.x.B", "service")
+    n = 20_000
+    piled = BehaviorGraph.of("runtime", [a, b], [(a, b, k * matcher.MASK_WIDTH) for k in range(n)])
+    spread = BehaviorGraph.of("runtime", [a, b], [(a, b, k) for k in range(n)])
+
+    def fastest(g):
+        runs = []
+        for _ in range(3):
+            start = time.perf_counter()
+            mask = matcher.label_mask(g)
+            runs.append(time.perf_counter() - start)
+        return min(runs), mask
+
+    (piled_s, piled_mask), (spread_s, spread_mask) = fastest(piled), fastest(spread)
+    assert piled_mask.bit_count() == spread_mask.bit_count() == n + 2
+    assert piled_mask.bit_length() > (n - 1) * matcher.MASK_WIDTH
+    assert piled_s < 10 * spread_s + 0.05  # quadratic work took over a second here
 
 
 def _corpus_window_results():
