@@ -457,7 +457,7 @@ def test_label_mask_is_linear_when_every_label_shares_one_bucket():
     (piled_s, piled_mask), (spread_s, spread_mask) = fastest(piled), fastest(spread)
     assert piled_mask.bit_count() == spread_mask.bit_count() == n + 2
     assert piled_mask.bit_length() > (n - 1) * matcher.MASK_WIDTH
-    assert piled_s < 10 * spread_s + 0.05  # quadratic work took over a second here
+    assert piled_s < 10 * spread_s + 0.05  # a quadratic builder needs seconds at this size
 
 
 def _corpus_window_results():
