@@ -36,19 +36,27 @@ The search is one branch and bound.  A caller that needs only some score
 passes it as ``floor``, and subtrees whose bound cannot reach it are pruned,
 so unrelated pairs are rejected without finding their maximum.  A search
 stops after ``SEARCH_BUDGET`` node expansions, and a result cut short says so
-(``exact=False``) and carries a proven upper ``bound``.
+(``exact=False``) and carries a proven upper ``bound``.  What a search reads
+of one graph is built once per graph, at its first search, and kept in its
+profile (``_Tables``), for either role: the search order, each step's edge
+units and fixed edges, the token sets behind the edge caps, the kind counts
+still to come, and the app nodes of each kind.  Per pair only the suffix edge
+caps are left, one set intersection per compatible pair of app nodes.
 
 Scores are exact rationals so that threshold comparisons and the published
-worked example hold with zero tolerance.
+worked example hold with zero tolerance.  Inside ``similarity`` and
+``match_rbg`` they stay integers, matched units against a total, compared by
+cross-multiplication; a ``Fraction`` is built only for a returned
+``SimilarityScore``.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import accumulate, chain
+from operator import sub
 
 from .behavior_graph import BehaviorGraph, app_clusters, decouple
 from .trace import Sss
@@ -106,12 +114,15 @@ def exact_threshold(threshold) -> Fraction:
 
 class _Profile:
     """Per-graph precomputation shared by similarity and its cheap bound: app
-    ids in search order, kind counts, label ``tokens`` and the orientation key
+    ids in search order, label ``tokens`` and the orientation key
     (the search reads ``nodes`` and ``edges``, held without the graph so the two
     form no cycle).  ``tokens`` holds each system/action id and ``(kind, j)`` /
-    ``(code, j)`` for the j-th app node of a kind and the j-th edge with a code."""
+    ``(code, j)`` for the j-th app node of a kind and the j-th edge with a code.
+    The app-cluster count and the search ``tables`` are filled in at the
+    graph's first search, each by one assignment of a finished value, so a
+    concurrent search sees either nothing or the whole."""
 
-    __slots__ = ("nodes", "edges", "order", "sys_ids", "kind_counts", "tokens", "canon", "clusters")
+    __slots__ = ("nodes", "edges", "order", "sys_ids", "tokens", "canon", "clusters", "tables")
 
     def __init__(self, g: BehaviorGraph):
         self.nodes, self.edges = g.nodes, g.edges
@@ -122,20 +133,90 @@ class _Profile:
         self.order = sorted(app_ids, key=lambda i: (-degree[i], i))
         sys_ids, kinds, codes = _labels(g)
         self.sys_ids = frozenset(sys_ids)
-        self.kind_counts = Counter(kinds)
-        counts = (*self.kind_counts.items(), *Counter(codes).items())
+        counts = (*Counter(kinds).items(), *Counter(codes).items())
         self.tokens = self.sys_ids.union((k, j) for k, n in counts for j in range(n))
         # Orientation key: keeps similarity symmetric even when a search is
         # cut short by its budget.
         self.canon = (tuple(ids), tuple(sorted(g.edges)),
                       tuple(g.nodes[nid].kind or "" for nid in app_ids))  # type: ignore[union-attr]
-        self.clusters: int | None = None  # counted when the graph is first searched
+        self.clusters: int | None = None
+        self.tables: _Tables | None = None
+
+
+class _Tables:
+    """The graph-only half of a search's set-up, for either side of a pair.
+
+    An app node's fixed edges are those into system/action nodes and its
+    self-loops, as ``(target, code)`` with ``None`` for the self-loop; such an
+    edge of x matches under x -> y iff y has the same one.  Its app edges are
+    counted as ``(outgoing?, code, j)`` tokens, one per j-th edge of that
+    direction and code, so that two token sets share the per-key minima.
+    Equal tokens and equal sets are stored once per graph.
+
+    As the smaller side, per position i of ``order``: ``kinds[i]``, an index
+    into ``kind_names``; ``units[i]``, its app edges to earlier positions j as
+    ``(j, outgoing?, code)``; ``fixed[i]``, its fixed edges; ``caps[i]``, those
+    plus the tokens of ``units[i]``; and ``suffix_counts[i]``, the count of
+    each kind at positions i and on.  As the larger side: ``by_kind``, kind ->
+    (app ids in order, each one's fixed edges plus the tokens of all its app
+    edges)."""
+
+    __slots__ = ("kind_names", "kinds", "units", "fixed", "caps", "suffix_counts", "by_kind")
+
+    def __init__(self, p: _Profile):
+        order, share = p.order, {}
+        pos = {nid: i for i, nid in enumerate(order)}
+        units: list[list[tuple[int, bool, int]]] = [[] for _ in order]
+        fixed: list[list[tuple[str | None, int]]] = [[] for _ in order]
+        app_keys: list[list[tuple[bool, int]]] = [[] for _ in order]
+        for src, dst, code in p.edges:
+            i, j = pos[src], pos.get(dst)
+            if j is None or j == i:
+                fixed[i].append((None if j == i else dst, code))
+            else:
+                # A unit is decided at the step placing its last app endpoint.
+                units[max(i, j)].append((j, True, code) if i > j else (i, False, code))
+                app_keys[i].append((True, code))
+                app_keys[j].append((False, code))
+        kinds = [p.nodes[x].kind for x in order]  # type: ignore[union-attr]
+        self.kind_names = tuple(dict.fromkeys(kinds))
+        self.kinds = tuple(map(self.kind_names.index, kinds))
+        self.units = tuple(map(tuple, units))
+        self.fixed = tuple(map(tuple, fixed))
+        self.caps = tuple(_token_set(f, ((out, c) for _, out, c in u), share)
+                          for f, u in zip(fixed, units))
+        counts = [0] * len(self.kind_names)
+        suffix = [tuple(counts)]
+        for k in reversed(self.kinds):
+            counts[k] += 1
+            suffix.append(tuple(counts))
+        self.suffix_counts = tuple(reversed(suffix))
+        by_kind: dict[str | None, tuple[list[str], list[frozenset]]] = {}
+        for x, k, f, keys in zip(order, kinds, fixed, app_keys):
+            ids, labels = by_kind.setdefault(k, ([], []))
+            ids.append(x)
+            labels.append(_token_set(f, keys, share))
+        self.by_kind = {k: (tuple(ids), tuple(labels)) for k, (ids, labels) in by_kind.items()}
+
+
+def _token_set(fixed: list, keys, share: dict) -> frozenset:
+    """``fixed`` plus ``(*key, j)`` for the j-th occurrence of each key, with
+    every token and the set itself taken from ``share`` when an equal one is there."""
+    tokens = frozenset(share.setdefault(t, t) for t in chain(
+        fixed, ((*key, j) for key, m in Counter(keys).items() for j in range(m))))
+    return share.setdefault(tokens, tokens)
 
 
 def _profile(g: BehaviorGraph) -> _Profile:
     if g._profile is None:
         g._profile = _Profile(g)
     return g._profile
+
+
+def _tables(p: _Profile) -> _Tables:
+    if p.tables is None:
+        p.tables = _Tables(p)
+    return p.tables
 
 
 def _labels(g: BehaviorGraph) -> tuple[list, list, list]:
@@ -183,66 +264,40 @@ def upper_bound_value(g1: BehaviorGraph, g2: BehaviorGraph) -> Fraction:
     return _value(*_shared_total(_profile(g1), _profile(g2)))
 
 
-def _search(p1: _Profile, p2: _Profile, mapping: dict[str, str],
-            need: int) -> tuple[int, int, int, bool, int]:
-    """Branch and bound over injective kind-compatible app mappings, seeded
-    with the system identity matches in ``mapping``, that prunes what cannot
-    beat both the incumbent and ``need - 1`` pairs + edges.  Returns (pairs,
-    edges) of the best mapping found, a proven upper bound on pairs + edges,
-    whether the search finished within the budget, and its expansions."""
-    order, nodes1, nodes2, e2 = p1.order, p1.nodes, p2.nodes, p2.edges
-    n = len(order)
-    pos = {nid: i for i, nid in enumerate(order)}
-    # An edge unit is decided at the step placing its last app endpoint;
-    # units into a system node absent from g2 can never match.
-    units: list[list[tuple[str, str, int]]] = [[] for _ in order]
-    for src, dst, code in p1.edges:
-        if dst in pos or dst in mapping:
-            units[max(pos[src], pos.get(dst, -1))].append((src, dst, code))
-    candidates_by_kind: dict[str | None, list[str]] = {}
-    for nid in p2.order:
-        candidates_by_kind.setdefault(nodes2[nid].kind, []).append(nid)  # type: ignore[union-attr]
-    # (outgoing?, code) counts of each g2 app node's edges to other app nodes
-    app_codes: dict[str, Counter] = {y: Counter() for y in p2.order}
-    for src, dst, code in e2:
-        if src != dst and dst in app_codes:
-            app_codes[src][True, code] += 1
-            app_codes[dst][False, code] += 1
-
-    # Suffix bounds: vertices per kind still to come, and the most edge units
-    # the remaining steps can gain.  Under x -> y a unit into a system node,
-    # or a self-loop, matches only if y has the same edge; units between x and
-    # other app nodes are capped per direction and code by y's app edges.
-    suffix_kinds: list[dict[str | None, int]] = [dict() for _ in range(n + 1)]
-    suffix_cap = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        x = order[i]
-        k = nodes1[x].kind  # type: ignore[union-attr]
-        suffix_kinds[i] = {**suffix_kinds[i + 1], k: suffix_kinds[i + 1].get(k, 0) + 1}
-        fixed = [(d, c) for s, d, c in units[i] if d not in pos or s == d]
-        wanted = Counter((s == x, c) for s, d, c in units[i] if d in pos and s != d)
-        suffix_cap[i] = suffix_cap[i + 1] + max(
-            (sum(1 for d, c in fixed if (y, y if d == x else d, c) in e2)
-             + sum(min(m, app_codes[y][key]) for key, m in wanted.items())
-             for y in candidates_by_kind.get(k, ())), default=0)
+def _search(p1: _Profile, p2: _Profile, need: int) -> tuple[int, int, int, bool, int]:
+    """Branch and bound over injective kind-compatible app mappings, on top of
+    the system identity matches, that prunes what cannot beat both the
+    incumbent and ``need - 1`` pairs + edges.  Returns (pairs, edges) of the
+    best mapping found, a proven upper bound on pairs + edges, whether the
+    search finished within the budget, and its expansions."""
+    t1, t2 = _tables(p1), _tables(p2)
+    kinds, units, fixed, suffix_counts = t1.kinds, t1.units, t1.fixed, t1.suffix_counts
+    e2 = p2.edges
+    n = len(kinds)
+    # Per kind of g1, by index: g2's (app ids, labels) and how many are unmatched.
+    candidates = [t2.by_kind.get(k, ((), ())) for k in t1.kind_names]
+    avail = [len(ids) for ids, _ in candidates]
+    # Matching a node never unmatches an edge, so g1 nodes of a kind need to
+    # stay unmatched only as far as that kind outnumbers its g2 nodes.
+    spare = list(map(sub, suffix_counts[0], avail))
+    # Suffix cap: the most edge units the remaining steps can gain.  Under
+    # x -> y a fixed edge matches only if y has it too, and the units between
+    # x and other app nodes are capped per direction and code by y's app edges.
+    steps = [max(map(len, map(caps.__and__, candidates[k][1])), default=0)
+             for caps, k in zip(t1.caps, kinds)]
+    suffix_cap = [*accumulate(reversed(steps), initial=0)][::-1]
 
     best = (0, 0)  # leaving every app node unmatched is always a mapping
     cut = max(0, need - 1)
     expansions = 0
     open_bounds: list[int] = []  # per open frame: bound on its untried children
+    assigned: list[str | None] = [None] * n  # the g2 node of each position, if matched
     used: set[str] = set()
-    avail = {k: len(v) for k, v in candidates_by_kind.items()}
-    # Matching a node never unmatches an edge, so g1 nodes of a kind need to
-    # stay unmatched only as far as that kind outnumbers its g2 nodes.
-    spare = {k: cnt - avail.get(k, 0) for k, cnt in p1.kind_counts.items()}
     cap_e = min(len(p1.edges), len(e2))
 
     def bound_at(i: int, mv: int, me: int) -> int:
-        rem_v = sum(min(cnt, avail.get(k, 0)) for k, cnt in suffix_kinds[i].items())
+        rem_v = sum(map(min, suffix_counts[i], avail))
         return mv + me + rem_v + min(suffix_cap[i], cap_e - me)
-
-    def gain(i: int) -> int:
-        return sum(1 for s, d, c in units[i] if (mapping.get(s), mapping.get(d), c) in e2)
 
     def rec(i: int, mv: int, me: int) -> None:
         nonlocal best, cut, expansions
@@ -256,23 +311,25 @@ def _search(p1: _Profile, p2: _Profile, mapping: dict[str, str],
         expansions += 1
         if expansions > SEARCH_BUDGET:
             raise _Exhausted
-        x = order[i]
-        kind = nodes1[x].kind  # type: ignore[union-attr]
+        kind, fx, ux = kinds[i], fixed[i], units[i]
         children = []  # tried best gain first, so the incumbent rises early
-        for y in candidates_by_kind.get(kind, ()):
+        for y, labels in zip(*candidates[kind]):
             if y not in used:
-                mapping[x] = y
-                children.append((gain(i), y))
-        mapping.pop(x, None)
+                gain = len(labels.intersection(fx))
+                for j, out, code in ux:
+                    z = assigned[j]
+                    if z is not None and ((y, z, code) if out else (z, y, code)) in e2:
+                        gain += 1
+                children.append((gain, y))
         children.sort(key=lambda child: -child[0])
-        for g, y in children:
-            mapping[x] = y
+        for gain, y in children:
+            assigned[i] = y
             used.add(y)
             avail[kind] -= 1
-            rec(i + 1, mv + 1, me + g)
+            rec(i + 1, mv + 1, me + gain)
             avail[kind] += 1
             used.discard(y)
-            del mapping[x]
+        assigned[i] = None
         open_bounds[-1] = -1  # only the skip child is left, and it opens its own frame
         if spare[kind] > 0:  # leave x unmatched
             spare[kind] -= 1
@@ -286,7 +343,7 @@ def _search(p1: _Profile, p2: _Profile, mapping: dict[str, str],
         complete = True
     except _Exhausted:
         complete = False
-    del rec  # a cycle through its own closure: break it so the tables free on return
+    del rec  # a cycle through its own closure: break it so the per-pair lists free on return
     # Finished subtrees hold nothing above ``cut``, unfinished ones nothing
     # above their frame's bound, and no mapping beats the root bound.
     return best[0], best[1], min(root, max([cut, *open_bounds])), complete, expansions
@@ -311,14 +368,14 @@ def similarity(g1: BehaviorGraph, g2: BehaviorGraph, floor=0) -> SimilarityScore
     if (len(p1.order), p1.canon) > (len(p2.order), p2.canon):
         p1, p2 = p2, p1
 
-    common_sys = p1.sys_ids & p2.sys_ids
+    common_sys = len(p1.sys_ids & p2.sys_ids)
     total = len(p1.nodes) + len(p2.nodes) + len(p1.edges) + len(p2.edges)
+    fl = exact_threshold(floor)
     # value = 2 * (Mv + Me) / total, so reaching the floor takes this many units
-    need = math.ceil(exact_threshold(floor) * total / 2) - len(common_sys)
-    pairs, me, bound, complete, expansions = _search(
-        p1, p2, {nid: nid for nid in common_sys}, need)
-    value, bound_value = (_value(len(common_sys) + units, total) for units in (pairs + me, bound))
-    return SimilarityScore(value, len(common_sys) + pairs, me,
+    need = -(-fl.numerator * total // (2 * fl.denominator)) - common_sys
+    pairs, me, bound, complete, expansions = _search(p1, p2, need)
+    value, bound_value = (_value(common_sys + units, total) for units in (pairs + me, bound))
+    return SimilarityScore(value, common_sys + pairs, me,
                            complete and pairs + me >= need, bound_value, expansions)
 
 
@@ -344,6 +401,7 @@ def match_rbg(suspect, store, threshold=DEFAULT_THRESHOLD, alpha: int = DEFAULT_
     th = exact_threshold(threshold)
     num, den = th.numerator, 2 * th.denominator
     best: tuple[str, SimilarityScore] | None = None
+    best_num = best_den = 0  # best[1].value as integers
     for g in suspect:
         mask, size, survivors = label_mask(g), len(g.nodes) + len(g.edges), []
         for ref in store.range_candidates(g.app_count, alpha):
@@ -356,14 +414,18 @@ def match_rbg(suspect, store, threshold=DEFAULT_THRESHOLD, alpha: int = DEFAULT_
             # Sort and search only candidates whose bound 2*shared/total reaches th.
             shared, total = _shared_total(_profile(g), _profile(cand := store.graph(ref)))
             if den * shared >= num * total:
-                survivors.append((ref, cand, _value(shared, total)))
+                # the bound as a fraction ub_num/ub_den; two empty graphs score 1
+                survivors.append((ref, cand, *((2 * shared, total) if total else (1, 1))))
         survivors.sort(key=lambda s: (s[0].family_id, s[0].ordinal))
-        for ref, cand, ub in survivors:
-            if best is not None and ub <= best[1].value:
+        for ref, cand, ub_num, ub_den in survivors:
+            if best is not None and ub_num * best_den <= best_num * ub_den:
                 continue
             score = similarity(g, cand, th if best is None else best[1].value)
-            if score.value >= th and (best is None or score.value > best[1].value):
-                best = (ref.family_id, score)
+            v_num, v_den = score.value.numerator, score.value.denominator
+            # the first hit has to reach the threshold, a later one to beat the best
+            if (v_num * best_den > best_num * v_den if best is not None
+                    else v_num * th.denominator >= th.numerator * v_den):
+                best, best_num, best_den = (ref.family_id, score), v_num, v_den
     return best
 
 

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 import time
@@ -302,6 +303,43 @@ def test_similarity_results_are_pinned(monkeypatch):
     assert digest.hexdigest() == PINNED_SIMILARITY_SHA256
 
 
+def _fresh(g):
+    """An equal graph built anew, so it has no profile or search tables yet."""
+    return BehaviorGraph.of(g.origin, g.nodes.values(),
+                            [(g.nodes[s], g.nodes[d], c, content) for (s, d, c), content in g.edges.items()])
+
+
+def test_warm_search_tables_give_what_cold_ones_give(monkeypatch):
+    """A graph's search tables are built at its first search and reused in
+    either role.  After every graph has searched every other one, as the
+    smaller and as the larger side, each score equals the score of fresh
+    copies, whose tables are built by that search."""
+    rng = random.Random(20261019)
+    graphs = [random_cluster_graph(rng, 8, 12) for _ in range(16)]
+    graphs += [perturb_graph(rng, g) for g in graphs[:8]]
+    graphs += [g for seed in range(3) for t in [generate_family(seed)]
+               for g in decouple(runtime_graph(t.base_pkg, t.base_trace))]
+    roles: dict[int, set[str]] = {}
+    search = matcher._search
+
+    def recording_search(p1, p2, need):
+        roles.setdefault(id(p1), set()).add("smaller")
+        roles.setdefault(id(p2), set()).add("larger")
+        return search(p1, p2, need)
+
+    monkeypatch.setattr(matcher, "_search", recording_search)
+    floors = (0, Fraction(4, 5))
+    for a in graphs:
+        for b in graphs:
+            for floor in floors:
+                similarity(a, b, floor)
+    assert all(roles[id(g._profile)] == {"smaller", "larger"} for g in graphs)
+    for a in graphs:
+        for b in graphs:
+            for floor in floors:
+                assert similarity(a, b, floor) == similarity(_fresh(a), _fresh(b), floor)
+
+
 # --- store matching -----------------------------------------------------------
 
 
@@ -423,6 +461,42 @@ def test_window_scan_keeps_no_module_state_and_profiles_only_screened_in_graphs(
     assert all(ref.mask is not None for ref in refs.values())
     assert near._profile is not None
     assert far._profile is None  # the screen dropped it before any profile was built
+
+
+def _reachable(obj, depth):
+    """Objects reachable from obj in at most ``depth`` references, types excluded."""
+    seen, frontier = {id(obj)}, [obj]
+    for _ in range(depth):
+        frontier = [r for o in frontier for r in gc.get_referents(o)
+                    if not isinstance(r, type) and id(r) not in seen and not seen.add(id(r))]
+        yield from frontier
+
+
+def test_window_scan_builds_each_graphs_search_tables_once(monkeypatch):
+    rng = random.Random(14)
+    pool = [random_cluster_graph(rng, 8, 12) for _ in range(10)]
+    store = _store_with(*((f"fam{i}", [g, perturb_graph(rng, g)]) for i, g in enumerate(pool)))
+    suspect = [perturb_graph(rng, g) for g in pool[:4]] + [random_cluster_graph(rng, 8, 12)]
+    builds: list[int] = []
+    build = matcher._Tables
+
+    def counting_build(p):
+        builds.append(id(p))
+        return build(p)
+
+    monkeypatch.setattr(matcher, "_Tables", counting_build)
+    first = [match_rbg([g], store, Fraction(1, 2)) for g in suspect]
+    built = len(builds)
+    assert [match_rbg([g], store, Fraction(1, 2)) for g in suspect] == first
+    assert len(builds) == built  # the second scan reuses every table
+    assert len(builds) == len(set(builds))
+    stored = [store.graph(ref) for ref in store.range_candidates(0, 100)]
+    searched = [g for g in stored if g._profile is not None and g._profile.tables is not None]
+    assert len(searched) >= 5
+    for g in searched + suspect:
+        reachable = list(_reachable(g._profile, 8))
+        assert any(r is g.edges for r in reachable)  # the walk does reach the graph's own parts
+        assert not any(r is g for r in reachable)
 
 
 @settings(max_examples=200, deadline=None)
