@@ -202,9 +202,12 @@ class _Tables:
 def _token_set(fixed: list, keys, share: dict) -> frozenset:
     """``fixed`` plus ``(*key, j)`` for the j-th occurrence of each key, with
     every token and the set itself taken from ``share`` when an equal one is there."""
-    tokens = frozenset(share.setdefault(t, t) for t in chain(
-        fixed, ((*key, j) for key, m in Counter(keys).items() for j in range(m))))
-    return share.setdefault(tokens, tokens)
+    tokens, seen = list(fixed), {}
+    for key in keys:
+        j = seen[key] = seen.get(key, -1) + 1
+        tokens.append((*key, j))
+    token_set = frozenset(map(share.setdefault, tokens, tokens))
+    return share.setdefault(token_set, token_set)
 
 
 def _profile(g: BehaviorGraph) -> _Profile:
