@@ -467,9 +467,14 @@ def _reachable(obj, depth):
     """Objects reachable from obj in at most ``depth`` references, types excluded."""
     seen, frontier = {id(obj)}, [obj]
     for _ in range(depth):
-        frontier = [r for o in frontier for r in gc.get_referents(o)
-                    if not isinstance(r, type) and id(r) not in seen and not seen.add(id(r))]
-        yield from frontier
+        found = []
+        for o in frontier:
+            for r in gc.get_referents(o):
+                if not isinstance(r, type) and id(r) not in seen:
+                    seen.add(id(r))
+                    found.append(r)
+        yield from found
+        frontier = found
 
 
 def test_window_scan_builds_each_graphs_search_tables_once(monkeypatch):
