@@ -1,24 +1,26 @@
 #!/usr/bin/env python3
-"""Window-scan experiment: the label-mask screen against the exact count bound.
+"""Window-scan experiment: the label-mask screen before the searches.
 
 For each store size it builds that many single-graph families from
 ``corpus.generate_family`` (every stored graph inside the suspects' ±alpha
 window, as in perfbench's ``window-scan``), and a set of suspects: half
 unrelated apps, half transformed variants of stored families.  Once every
-index entry has its mask and every stored graph its profile, it times per
-suspect, each on its own over the whole window:
+index entry has its mask, it times per suspect, each on its own over the
+whole window:
 
 * the screen, one AND and one ``bit_count`` per candidate on the entry's mask;
-* the exact bound, one token-set intersection per candidate;
-* ``match_rbg``, which runs the screen, the exact bound on what passes, and
-  the searches.
+* ``match_rbg``, which runs the screen and searches what passes.
 
-It reports how many candidates pass the screen and how many survive the
-exact bound, checks that every survivor passed the screen, and reports the
-bytes of a mask and of an index entry.  How many candidates pass the screen
-moves a little with the process's string hash; the survivors do not.  The
-cold figure is the first ``match_rbg`` after the store is built, which fills
-the masks of the window.
+It reports how many candidates pass the screen, how many of them reach the
+exact count bound (``upper_bound_value``), and how many searches and
+expansions ``match_rbg`` makes per suspect.  It checks that the screen never
+drops a candidate whose count bound reaches the threshold, and digests the
+verdicts, which must not move when the matcher changes underneath.  It also
+reports the bytes of a mask, of an index entry and of a searched graph's
+profile (tracemalloc, over the first 500 stored graphs).  How many candidates
+pass the screen, and so how many are searched, moves a little with the
+process's string hash; the verdicts do not.  The cold figure is the first
+``match_rbg`` after the store is built, which fills the masks of the window.
 ``--json`` also writes the inputs and results, with the git sha, Python
 version and CPU count, to ``BENCH_window.json``.
 
@@ -26,6 +28,7 @@ version and CPU count, to ``BENCH_window.json``.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -34,6 +37,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 
 from monet import corpus, matcher, pipeline, sigstore
 from monet.behavior_graph import decouple
@@ -79,6 +83,19 @@ def ms(start: float) -> float:
     return (time.perf_counter() - start) * 1000.0
 
 
+def profile_bytes(graphs) -> float:
+    """Mean bytes a first search leaves in each graph's profile."""
+    for g in graphs:
+        g._profile = None
+    tracemalloc.start()
+    before = tracemalloc.get_traced_memory()[0]
+    for g in graphs:
+        matcher.similarity(g, g)
+    held = tracemalloc.get_traced_memory()[0] - before
+    tracemalloc.stop()
+    return held / len(graphs)
+
+
 def measure(families: int, suspects: int, seed: int) -> dict:
     t0 = time.perf_counter()
     store, clusters = build(families, suspects, seed)
@@ -90,10 +107,16 @@ def measure(families: int, suspects: int, seed: int) -> dict:
     matcher.match_rbg(clusters[:1], store, th, ALPHA)
     cold_ms = ms(t0)
     matcher.match_rbg(clusters, store, th, ALPHA)  # every stored graph is in every window
-    for ref in store.range_candidates(0, 10**9):
-        matcher._profile(store.graph(ref))
 
-    windows, screen, exact, match, passed, survived = [], [], [], [], [], []
+    scores = []
+    search = matcher.similarity
+
+    def counting_search(g1, g2, floor=0):
+        scores.append(score := search(g1, g2, floor))
+        return score
+
+    windows, screen, match, passed, reached, searches, expansions = [], [], [], [], [], [], []
+    verdicts = hashlib.sha256()
     for g in clusters:
         window = store.range_candidates(g.app_count, ALPHA)
         windows.append(len(window))
@@ -104,19 +127,21 @@ def measure(families: int, suspects: int, seed: int) -> dict:
                    if den * (ref.mask & mask).bit_count() >= num * (ref.size + size)]
         screen.append(ms(t0))
 
-        t0 = time.perf_counter()
-        p = matcher._profile(g)
-        kept = []
-        for ref in window:
-            shared, total = matcher._shared_total(p, matcher._profile(store.graph(ref)))
-            if den * shared >= num * total:
-                kept.append(ref)
-        exact.append(ms(t0))
-
+        kept = [ref for ref in window if matcher.upper_bound_value(g, store.graph(ref)) >= th]
         if not set(kept) <= set(through):
-            raise SystemExit(f"screen dropped a candidate the exact bound keeps ({families} families)")
+            raise SystemExit(f"screen dropped a candidate the count bound keeps ({families} families)")
         passed.append(len(through))
-        survived.append(len(kept))
+        reached.append(len(kept))
+
+        scores.clear()
+        matcher.similarity = counting_search
+        try:
+            hit = matcher.match_rbg([g], store, th, ALPHA)
+        finally:
+            matcher.similarity = search
+        searches.append(len(scores))
+        expansions.append(sum(s.expansions for s in scores))
+        verdicts.update(repr(hit and (hit[0], hit[1].value)).encode())
 
         t0 = time.perf_counter()
         matcher.match_rbg([g], store, th, ALPHA)
@@ -126,14 +151,17 @@ def measure(families: int, suspects: int, seed: int) -> dict:
     mask_bytes = [sys.getsizeof(ref.mask) for ref in refs]
     return {
         "families": families, "suspect_clusters": len(clusters), "build_s": build_s,
-        "window_mean": statistics.fmean(windows),
-        "screen_ms_p50": statistics.median(screen), "exact_bound_ms_p50": statistics.median(exact),
+        "window_mean": statistics.fmean(windows), "screen_ms_p50": statistics.median(screen),
         "match_rbg_ms_p50": statistics.median(match), "cold_first_match_ms": cold_ms,
         "passed_screen_mean": statistics.fmean(passed),
-        "survived_exact_bound_mean": statistics.fmean(survived),
+        "reached_count_bound_mean": statistics.fmean(reached),
+        "searches_mean": statistics.fmean(searches),
+        "expansions_mean": statistics.fmean(expansions),
+        "verdicts_sha256": verdicts.hexdigest(),
         "mask_bytes_mean": statistics.fmean(mask_bytes), "mask_bytes_max": max(mask_bytes),
         # The family id string is shared with the store's family table.
         "index_entry_bytes_mean": sys.getsizeof(refs[0]) + statistics.fmean(mask_bytes),
+        "profile_bytes_mean": profile_bytes([store.graph(ref) for ref in refs[:500]]),
     }
 
 
@@ -147,16 +175,16 @@ def main() -> int:
     args = parser.parse_args()
 
     rows = []
-    print(f"{'families':>8} {'window':>7} {'screen ms':>9} {'exact ms':>9} {'match ms':>9} "
-          f"{'cold ms':>8} {'passed':>7} {'survived':>8} {'mask B':>7} {'entry B':>7}")
+    print(f"{'families':>8} {'window':>7} {'screen ms':>9} {'match ms':>9} {'cold ms':>8} "
+          f"{'passed':>7} {'reached':>7} {'searches':>8} {'mask B':>7} {'entry B':>7} {'profile B':>9}")
     for families in args.families:
         row = measure(families, args.suspects, args.seed)
         rows.append(row)
         print(f"{families:>8} {row['window_mean']:>7.0f} {row['screen_ms_p50']:>9.3f} "
-              f"{row['exact_bound_ms_p50']:>9.3f} {row['match_rbg_ms_p50']:>9.3f} "
-              f"{row['cold_first_match_ms']:>8.1f} {row['passed_screen_mean']:>7.1f} "
-              f"{row['survived_exact_bound_mean']:>8.1f} {row['mask_bytes_mean']:>7.1f} "
-              f"{row['index_entry_bytes_mean']:>7.1f}")
+              f"{row['match_rbg_ms_p50']:>9.3f} {row['cold_first_match_ms']:>8.1f} "
+              f"{row['passed_screen_mean']:>7.1f} {row['reached_count_bound_mean']:>7.1f} "
+              f"{row['searches_mean']:>8.2f} {row['mask_bytes_mean']:>7.1f} "
+              f"{row['index_entry_bytes_mean']:>7.1f} {row['profile_bytes_mean']:>9.0f}")
 
     if args.json:
         record = {

@@ -19,18 +19,19 @@ system-side labels are unique within a graph, system and action nodes are
 pre-matched by label; the remaining search maximizes matched edges over
 injective app-component mappings.
 
-``match_rbg`` filters the window in two stages, both compared with the
-threshold in integers.  The exact stage is the count bound: the shared-token
-count of the two graphs' label multisets (system and action ids, app kinds,
-edge codes), which no mapping can beat.  Before it, a screen reads a label
-mask from each index entry: ``label_mask`` hashes each label into one of
-``MASK_WIDTH`` buckets, and the j-th label of a bucket sets bit
-``j * MASK_WIDTH + bucket``.  Two masks then share, per bucket, the smaller of
+``match_rbg`` filters the window once, with a screen compared with the
+threshold in integers.  Each index entry carries its graph's label mask:
+``label_mask`` hashes each label (system and action ids, app kinds, edge
+codes) into one of ``MASK_WIDTH`` buckets, and the j-th label of a bucket sets
+bit ``j * MASK_WIDTH + bucket``.  Two masks share, per bucket, the smaller of
 the two bucket counts, which is at least the sum of the per-label minima that
-the bucket holds, so ``(m1 & m2).bit_count()`` never falls below the shared
-count and the screen drops only candidates that the exact bound drops too.
-Only candidates that pass both are sorted and searched.  The masks depend on
-the process's string hashes; the verdicts do not.
+the bucket holds.  So ``(m1 & m2).bit_count()`` never falls below the shared
+count of the two label multisets, and like the count bound
+(``upper_bound_value``) it bounds every mapping.  Only candidates whose bound
+reaches the threshold are sorted and searched, and the same bound skips those
+that cannot beat the best so far.  How many pass depends on the process's
+string hashes; the verdicts do not, because a search cannot beat its
+candidate's count bound.
 
 The search is one branch and bound.  A caller that needs only some score
 passes it as ``floor``, and subtrees whose bound cannot reach it are pruned,
@@ -38,7 +39,7 @@ so unrelated pairs are rejected without finding their maximum.  A search
 stops after ``SEARCH_BUDGET`` node expansions, and a result cut short says so
 (``exact=False``) and carries a proven upper ``bound``.  What a search reads
 of one graph is built once per graph, at its first search, and kept in its
-profile (``_Tables``), for either role: the search order, each step's edge
+profile (``_Profile``), for either role: the search order, each step's edge
 units and fixed edges, the token sets behind the edge caps, the kind counts
 still to come, and the app nodes of each kind.  Per pair only the suffix edge
 caps are left, one set intersection per compatible pair of app nodes.
@@ -113,63 +114,53 @@ def exact_threshold(threshold) -> Fraction:
 
 
 class _Profile:
-    """Per-graph precomputation shared by similarity and its cheap bound: app
-    ids in search order, label ``tokens`` and the orientation key
-    (the search reads ``nodes`` and ``edges``, held without the graph so the two
-    form no cycle).  ``tokens`` holds each system/action id and ``(kind, j)`` /
-    ``(code, j)`` for the j-th app node of a kind and the j-th edge with a code.
-    The app-cluster count and the search ``tables`` are filled in at the
-    graph's first search, each by one assignment of a finished value, so a
-    concurrent search sees either nothing or the whole."""
+    """What a search reads of one graph, for either side of a pair: built at
+    the graph's first search, which refuses a graph of several app clusters,
+    and published by one assignment to ``g._profile``.  It holds the graph's
+    edge dict but not the graph, so the two form no cycle.
 
-    __slots__ = ("nodes", "edges", "order", "sys_ids", "tokens", "canon", "clusters", "tables")
+    ``canon`` is the orientation key, ``sys_ids`` the system and action ids and
+    ``size`` the vertex + edge count.  An app node's fixed edges are those into
+    system/action nodes and its self-loops, as ``(target, code)`` with
+    ``None`` for the self-loop; such an edge of x matches under x -> y iff y
+    has the same one.  Its app edges are counted as ``(outgoing?, code, j)``
+    tokens, one per j-th edge of that direction and code, so that two token
+    sets share the per-key minima.  Equal tokens and equal sets are stored
+    once per graph.
+
+    As the smaller side, per search position i: ``kinds[i]``, an index into
+    ``kind_names``; ``units[i]``, its app edges to earlier positions j as
+    ``(j, outgoing?, code)``; ``fixed[i]``, its fixed edges; ``caps[i]``,
+    those plus the tokens of ``units[i]``; and ``suffix_counts[i]``, the count
+    of each kind at positions i and on.  As the larger side: ``by_kind``,
+    kind -> (app ids in order, each one's fixed edges plus the tokens of all
+    its app edges)."""
+
+    __slots__ = ("canon", "sys_ids", "size", "edges", "kind_names", "kinds", "units", "fixed",
+                 "caps", "suffix_counts", "by_kind")
 
     def __init__(self, g: BehaviorGraph):
-        self.nodes, self.edges = g.nodes, g.edges
-        ids = sorted(g.nodes)
-        app_ids = [nid for nid in ids if nid.startswith("app:")]
-        degree = Counter(src for src, _, _ in g.edges)
-        degree.update(dst for _, dst, _ in g.edges)
-        self.order = sorted(app_ids, key=lambda i: (-degree[i], i))
-        sys_ids, kinds, codes = _labels(g)
-        self.sys_ids = frozenset(sys_ids)
-        counts = (*Counter(kinds).items(), *Counter(codes).items())
-        self.tokens = self.sys_ids.union((k, j) for k, n in counts for j in range(n))
+        clusters = len(app_clusters(g))
+        if clusters > 1:
+            raise NotDecoupled(f"graph with {clusters} app clusters: {g!r}")
+        nids = sorted(g.nodes)
+        app_ids = [nid for nid in nids if nid.startswith("app:")]
         # Orientation key: keeps similarity symmetric even when a search is
         # cut short by its budget.
-        self.canon = (tuple(ids), tuple(sorted(g.edges)),
+        self.canon = (tuple(nids), tuple(sorted(g.edges)),
                       tuple(g.nodes[nid].kind or "" for nid in app_ids))  # type: ignore[union-attr]
-        self.clusters: int | None = None
-        self.tables: _Tables | None = None
-
-
-class _Tables:
-    """The graph-only half of a search's set-up, for either side of a pair.
-
-    An app node's fixed edges are those into system/action nodes and its
-    self-loops, as ``(target, code)`` with ``None`` for the self-loop; such an
-    edge of x matches under x -> y iff y has the same one.  Its app edges are
-    counted as ``(outgoing?, code, j)`` tokens, one per j-th edge of that
-    direction and code, so that two token sets share the per-key minima.
-    Equal tokens and equal sets are stored once per graph.
-
-    As the smaller side, per position i of ``order``: ``kinds[i]``, an index
-    into ``kind_names``; ``units[i]``, its app edges to earlier positions j as
-    ``(j, outgoing?, code)``; ``fixed[i]``, its fixed edges; ``caps[i]``, those
-    plus the tokens of ``units[i]``; and ``suffix_counts[i]``, the count of
-    each kind at positions i and on.  As the larger side: ``by_kind``, kind ->
-    (app ids in order, each one's fixed edges plus the tokens of all its app
-    edges)."""
-
-    __slots__ = ("kind_names", "kinds", "units", "fixed", "caps", "suffix_counts", "by_kind")
-
-    def __init__(self, p: _Profile):
-        order, share = p.order, {}
+        self.sys_ids = frozenset(nid for nid in nids if not nid.startswith("app:"))
+        self.size = len(g.nodes) + len(g.edges)
+        self.edges = g.edges
+        degree = Counter(src for src, _, _ in g.edges)
+        degree.update(dst for _, dst, _ in g.edges)
+        order = sorted(app_ids, key=lambda i: (-degree[i], i))
+        share: dict = {}
         pos = {nid: i for i, nid in enumerate(order)}
         units: list[list[tuple[int, bool, int]]] = [[] for _ in order]
         fixed: list[list[tuple[str | None, int]]] = [[] for _ in order]
         app_keys: list[list[tuple[bool, int]]] = [[] for _ in order]
-        for src, dst, code in p.edges:
+        for src, dst, code in g.edges:
             i, j = pos[src], pos.get(dst)
             if j is None or j == i:
                 fixed[i].append((None if j == i else dst, code))
@@ -178,7 +169,7 @@ class _Tables:
                 units[max(i, j)].append((j, True, code) if i > j else (i, False, code))
                 app_keys[i].append((True, code))
                 app_keys[j].append((False, code))
-        kinds = [p.nodes[x].kind for x in order]  # type: ignore[union-attr]
+        kinds = [g.nodes[x].kind for x in order]  # type: ignore[union-attr]
         self.kind_names = tuple(dict.fromkeys(kinds))
         self.kinds = tuple(map(self.kind_names.index, kinds))
         self.units = tuple(map(tuple, units))
@@ -216,12 +207,6 @@ def _profile(g: BehaviorGraph) -> _Profile:
     return g._profile
 
 
-def _tables(p: _Profile) -> _Tables:
-    if p.tables is None:
-        p.tables = _Tables(p)
-    return p.tables
-
-
 def _labels(g: BehaviorGraph) -> tuple[list, list, list]:
     """The labels that the count bound and the mask compare: system and action
     ids (unique within a graph), app kinds, and edge codes."""
@@ -235,11 +220,11 @@ def _labels(g: BehaviorGraph) -> tuple[list, list, list]:
 
 
 def label_mask(g: BehaviorGraph) -> int:
-    """Count mask of the labels behind ``_Profile.tokens``: the j-th label
-    to fall in bucket ``hash(label) % MASK_WIDTH`` sets bit
-    ``j * MASK_WIDTH + bucket``.  The bits go into a byte buffer sized for the
-    worst case, every label in one bucket, and become an int once, so the cost
-    stays linear in the labels however they fall."""
+    """Count mask of the labels in ``_labels``: the j-th label to fall in
+    bucket ``hash(label) % MASK_WIDTH`` sets bit ``j * MASK_WIDTH + bucket``.
+    The bits go into a byte buffer sized for the worst case, every label in one
+    bucket, and become an int once, so the cost stays linear in the labels
+    however they fall."""
     width = MASK_WIDTH
     next_bit = list(range(width))
     sys_ids, kinds, codes = _labels(g)
@@ -257,14 +242,11 @@ def _value(units: int, total: int) -> Fraction:
     return Fraction(2 * units, total) if total else Fraction(1)
 
 
-def _shared_total(p1: _Profile, p2: _Profile) -> tuple[int, int]:
-    """The count bound's integers: shared label tokens, and vertices + edges of both."""
-    return len(p1.tokens & p2.tokens), len(p1.nodes) + len(p2.nodes) + len(p1.edges) + len(p2.edges)
-
-
 def upper_bound_value(g1: BehaviorGraph, g2: BehaviorGraph) -> Fraction:
-    """Cheap optimistic score: every shared label token as a matched vertex or edge."""
-    return _value(*_shared_total(_profile(g1), _profile(g2)))
+    """The count bound: every label the two graphs share, counted per label to
+    the smaller multiplicity, as a matched vertex or edge.  No mapping beats it."""
+    shared = sum(sum((Counter(a) & Counter(b)).values()) for a, b in zip(_labels(g1), _labels(g2)))
+    return _value(shared, len(g1.nodes) + len(g2.nodes) + len(g1.edges) + len(g2.edges))
 
 
 def _search(p1: _Profile, p2: _Profile, need: int) -> tuple[int, int, int, bool, int]:
@@ -273,12 +255,11 @@ def _search(p1: _Profile, p2: _Profile, need: int) -> tuple[int, int, int, bool,
     incumbent and ``need - 1`` pairs + edges.  Returns (pairs, edges) of the
     best mapping found, a proven upper bound on pairs + edges, whether the
     search finished within the budget, and its expansions."""
-    t1, t2 = _tables(p1), _tables(p2)
-    kinds, units, fixed, suffix_counts = t1.kinds, t1.units, t1.fixed, t1.suffix_counts
+    kinds, units, fixed, suffix_counts = p1.kinds, p1.units, p1.fixed, p1.suffix_counts
     e2 = p2.edges
     n = len(kinds)
     # Per kind of g1, by index: g2's (app ids, labels) and how many are unmatched.
-    candidates = [t2.by_kind.get(k, ((), ())) for k in t1.kind_names]
+    candidates = [p2.by_kind.get(k, ((), ())) for k in p1.kind_names]
     avail = [len(ids) for ids, _ in candidates]
     # Matching a node never unmatches an edge, so g1 nodes of a kind need to
     # stay unmatched only as far as that kind outnumbers its g2 nodes.
@@ -287,7 +268,7 @@ def _search(p1: _Profile, p2: _Profile, need: int) -> tuple[int, int, int, bool,
     # x -> y a fixed edge matches only if y has it too, and the units between
     # x and other app nodes are capped per direction and code by y's app edges.
     steps = [max(map(len, map(caps.__and__, candidates[k][1])), default=0)
-             for caps, k in zip(t1.caps, kinds)]
+             for caps, k in zip(p1.caps, kinds)]
     suffix_cap = [*accumulate(reversed(steps), initial=0)][::-1]
 
     best = (0, 0)  # leaving every app node unmatched is always a mapping
@@ -362,17 +343,11 @@ def similarity(g1: BehaviorGraph, g2: BehaviorGraph, floor=0) -> SimilarityScore
     the floor.  Symmetric in its arguments.
     """
     p1, p2 = _profile(g1), _profile(g2)
-    for g, p in ((g1, p1), (g2, p2)):
-        if p.clusters is None:
-            p.clusters = len(app_clusters(g))
-        if p.clusters > 1:
-            raise NotDecoupled(f"graph with {p.clusters} app clusters: {g!r}")
-
-    if (len(p1.order), p1.canon) > (len(p2.order), p2.canon):
+    if (len(p1.kinds), p1.canon) > (len(p2.kinds), p2.canon):
         p1, p2 = p2, p1
 
     common_sys = len(p1.sys_ids & p2.sys_ids)
-    total = len(p1.nodes) + len(p2.nodes) + len(p1.edges) + len(p2.edges)
+    total = p1.size + p2.size
     fl = exact_threshold(floor)
     # value = 2 * (Mv + Me) / total, so reaching the floor takes this many units
     need = -(-fl.numerator * total // (2 * fl.denominator)) - common_sys
@@ -399,7 +374,8 @@ def match_rbg(suspect, store, threshold=DEFAULT_THRESHOLD, alpha: int = DEFAULT_
 
     ``suspect`` is a list of decoupled graphs.  Candidates come from the
     store's app-component-count index within ±``alpha``.  Returns
-    (family_id, SimilarityScore) or None; ties keep the smallest family id.
+    (family_id, SimilarityScore) or None; a tie keeps the first hit, in
+    suspect-cluster order and then family id.
     """
     th = exact_threshold(threshold)
     num, den = th.numerator, 2 * th.denominator
@@ -408,17 +384,14 @@ def match_rbg(suspect, store, threshold=DEFAULT_THRESHOLD, alpha: int = DEFAULT_
     for g in suspect:
         mask, size, survivors = label_mask(g), len(g.nodes) + len(g.edges), []
         for ref in store.range_candidates(g.app_count, alpha):
-            # The screen over-counts shared tokens, so what fails it fails the bound.
             ref_mask = ref.mask
             if ref_mask is None:  # filled once per index entry, by the first scan that reads it
                 ref_mask = ref.mask = label_mask(store.graph(ref))
-            if den * (ref_mask & mask).bit_count() < num * (ref.size + size):
-                continue
             # Sort and search only candidates whose bound 2*shared/total reaches th.
-            shared, total = _shared_total(_profile(g), _profile(cand := store.graph(ref)))
+            shared, total = (ref_mask & mask).bit_count(), ref.size + size
             if den * shared >= num * total:
                 # the bound as a fraction ub_num/ub_den; two empty graphs score 1
-                survivors.append((ref, cand, *((2 * shared, total) if total else (1, 1))))
+                survivors.append((ref, store.graph(ref), *((2 * shared, total) if total else (1, 1))))
         survivors.sort(key=lambda s: (s[0].family_id, s[0].ordinal))
         for ref, cand, ub_num, ub_den in survivors:
             if best is not None and ub_num * best_den <= best_num * ub_den:

@@ -171,9 +171,12 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _read_body(self) -> dict:
         text = self.headers.get("Content-Length") or "0"
+        # Without a length the body cannot be framed, so neither can the next
+        # request on this connection.  A chunked body is not read at all.
+        if "Transfer-Encoding" in self.headers:
+            self.close_connection = True
+            raise BadRequest("Transfer-Encoding is not supported; send Content-Length")
         if not (text.isascii() and text.isdigit()):
-            # Without a length the body cannot be framed, so neither can the
-            # next request on this connection.
             self.close_connection = True
             raise BadRequest("Content-Length must be a non-negative integer")
         if int(text) > MAX_BODY_BYTES:
@@ -230,7 +233,7 @@ def serve(store_path, listen: str = "127.0.0.1:8743",
     """Load the store and serve until interrupted.  Startup failures raise."""
     store = load_store(store_path)  # a corrupted store refuses to start
     host, _, port_text = listen.rpartition(":")
-    if not host or not port_text.isdigit():
+    if not host or not port_text.isdigit() or int(port_text) > 65535:
         raise ValueError(f"listen address must be host:port, got {listen!r}")
     server = make_server(store, host, int(port_text), threshold, alpha)
     host, port = server.server_address[:2]

@@ -228,6 +228,19 @@ def test_serve_without_store_is_a_usage_error(capsys):
     assert "--store" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("listen", ["127.0.0.1:abc", "127.0.0.1:99999"])
+def test_serve_rejects_a_bad_listen_address(tmp_path, capsys, monkeypatch, listen):
+    monkeypatch.setattr(service, "make_server", lambda *args: pytest.fail("server started"))
+    graph_file = tmp_path / "mal.json"
+    graph_file.write_text(graph_to_json(malicious_graph(generate_family(43))))
+    store_dir = str(tmp_path / "store")
+    assert main(["sign", "--family", "famZ", "--rbg", str(graph_file), "--store", store_dir]) == 0
+    capsys.readouterr()
+    assert main(["serve", "--store", store_dir, "--listen", listen]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("monet: listen address") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["match", "serve", "eval"])
 @pytest.mark.parametrize("option, value", [("--threshold", "0"), ("--threshold", "1.5"),
                                            ("--threshold", "nan"), ("--alpha", "-1")])

@@ -74,8 +74,11 @@ def test_not_decoupled_rejected():
     b = AppComponent("com.x.B", "activity")
     g = BehaviorGraph.of("runtime", [a, b], [])
     ok, _ = worked_example_pair()
-    with pytest.raises(NotDecoupled):
-        similarity(g, ok)
+    for a, b in ((g, ok), (ok, g), (g, ok)):
+        with pytest.raises(NotDecoupled):
+            similarity(a, b)
+        assert g._profile is None  # a refused build caches nothing
+    assert ok._profile is not None
 
 
 def test_similarity_matches_brute_force_on_random_pairs():
@@ -375,6 +378,12 @@ def test_tie_breaks_by_family_id():
     store = _store_with(("famB", [g1]), ("famA", [g1]))
     hit = match_rbg([g1], store, 0.8)
     assert hit[0] == "famA"
+    # Across suspect clusters the earlier cluster's hit is kept on a tie.
+    c, d = AppComponent("com.y.C", "receiver"), AppComponent("com.y.D", "provider")
+    g_c = BehaviorGraph.of("runtime", [c, d], [(c, d, 31), (d, c, 32)])
+    store = _store_with(("famZ", [g1]), ("famA", [g_c]))
+    hits = [match_rbg(suspect, store, 0.8) for suspect in ([g1, g_c], [g_c, g1])]
+    assert [(family, score.value) for family, score in hits] == [("famZ", 1), ("famA", 1)]
 
 
 def test_variant_with_junk_component_and_extra_edges_hand_computed():
@@ -423,6 +432,12 @@ def test_match_rbg_agrees_with_unfloored_scan_of_the_window():
         assert hit is None or hit[1].exact
 
 
+def _passes_screen(g1, g2, th):
+    shared = (matcher.label_mask(g1) & matcher.label_mask(g2)).bit_count()
+    total = len(g1.nodes) + len(g2.nodes) + len(g1.edges) + len(g2.edges)
+    return 2 * shared * th.denominator >= th.numerator * total
+
+
 def test_match_rbg_searches_no_candidate_below_the_threshold(monkeypatch):
     rng = random.Random(32)
     pool = [random_cluster_graph(rng) for _ in range(12)]
@@ -440,10 +455,10 @@ def test_match_rbg_searches_no_candidate_below_the_threshold(monkeypatch):
         th = rng.choice((Fraction(1, 2), Fraction(7, 10), Fraction(4, 5)))
         searched.clear()
         match_rbg(suspect, store, th, 5)
-        assert all(upper_bound_value(a, b) >= th for a, b in searched)
-        below += sum(upper_bound_value(g, store.graph(ref)) < th
+        assert all(_passes_screen(a, b, th) for a, b in searched)
+        below += sum(not _passes_screen(g, store.graph(ref), th)
                      for g in suspect for ref in store.range_candidates(g.app_count, 5))
-    assert below > 0  # the window held candidates for the filter to drop
+    assert below > 0  # the window held candidates for the screen to drop
 
 
 def test_window_scan_keeps_no_module_state_and_profiles_only_screened_in_graphs():
@@ -483,20 +498,20 @@ def test_window_scan_builds_each_graphs_search_tables_once(monkeypatch):
     store = _store_with(*((f"fam{i}", [g, perturb_graph(rng, g)]) for i, g in enumerate(pool)))
     suspect = [perturb_graph(rng, g) for g in pool[:4]] + [random_cluster_graph(rng, 8, 12)]
     builds: list[int] = []
-    build = matcher._Tables
+    build = matcher._Profile
 
-    def counting_build(p):
-        builds.append(id(p))
-        return build(p)
+    def counting_build(g):
+        builds.append(id(g))
+        return build(g)
 
-    monkeypatch.setattr(matcher, "_Tables", counting_build)
+    monkeypatch.setattr(matcher, "_Profile", counting_build)
     first = [match_rbg([g], store, Fraction(1, 2)) for g in suspect]
     built = len(builds)
     assert [match_rbg([g], store, Fraction(1, 2)) for g in suspect] == first
-    assert len(builds) == built  # the second scan reuses every table
+    assert len(builds) == built  # the second scan reuses every profile
     assert len(builds) == len(set(builds))
     stored = [store.graph(ref) for ref in store.range_candidates(0, 100)]
-    searched = [g for g in stored if g._profile is not None and g._profile.tables is not None]
+    searched = [g for g in stored if g._profile is not None]
     assert len(searched) >= 5
     for g in searched + suspect:
         reachable = list(_reachable(g._profile, 8))

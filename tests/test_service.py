@@ -148,6 +148,27 @@ def test_bad_content_length_gets_400(content_length, caplog):
     assert "Traceback" not in caplog.text and "internal error" not in caplog.text
 
 
+def test_chunked_body_gets_one_400_and_close(caplog):
+    store, _ = small_store(1)
+    with running_server(store) as addr:
+        with socket.create_connection(addr, timeout=5) as sock:
+            sock.sendall(b"POST /v1/match HTTP/1.1\r\nHost: t\r\nContent-Type: application/json\r\n"
+                         b"Transfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n")
+            reply = b""
+            while chunk := sock.recv(4096):  # until the server closes the connection
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in head
+        length = int(next(line for line in head.split(b"\r\n")
+                          if line.lower().startswith(b"content-length:")).split(b":")[1])
+        assert len(body) == length  # one reply and nothing after it
+        assert "Transfer-Encoding" in json.loads(body)["error"]
+        status, _ = http_json(addr, "GET", "/v1/health")
+        assert status == 200
+    assert "Traceback" not in caplog.text and "internal error" not in caplog.text
+
+
 @pytest.mark.parametrize("path", ["/v1/match", "/v1/signatures"])
 @pytest.mark.parametrize("body", [b'{"a": "\xff"}', b"\x80abc", b"[" * 100_000 + b"]" * 100_000],
                          ids=["bad-utf8-in-string", "bad-utf8-lead-byte", "nested-100000-deep"])
