@@ -11,9 +11,12 @@ whole window:
 * the screen, one AND and one ``bit_count`` per candidate on the entry's mask;
 * ``match_rbg``, which runs the screen and searches what passes.
 
-It reports how many candidates pass the screen, how many of them reach the
-exact count bound (``upper_bound_value``), and how many searches and
-expansions ``match_rbg`` makes per suspect.  It checks that the screen never
+Masks and the count bound (``upper_bound_value``) compare the same labels:
+system and action ids, app kinds, and each edge as its code and the labels of
+both endpoints.  It reports how many candidates pass the screen, how many of
+them reach the exact count bound, and how many searches and expansions
+``match_rbg`` makes per suspect; with endpoint-typed edges an unrelated
+suspect usually has no candidate left to search.  It checks that the screen never
 drops a candidate whose count bound reaches the threshold, and digests the
 verdicts, which must not move when the matcher changes underneath.  It also
 reports the bytes of a mask, of an index entry and of a searched graph's

@@ -19,19 +19,25 @@ system-side labels are unique within a graph, system and action nodes are
 pre-matched by label; the remaining search maximizes matched edges over
 injective app-component mappings.
 
+The count bound (``upper_bound_value``) counts what two graphs could share
+by label.  A node's label is its id for a system or action node and its kind
+for an app component.  An edge's label is the labels of its two endpoints and
+its code, so an edge can only ever match an edge of the same label: under any
+mapping, matched edges have equal codes and endpoints matched by identity or
+by kind.  Per label, at most the smaller of the two counts can match, so the
+sum of those minima bounds every mapping.
+
 ``match_rbg`` filters the window once, with a screen compared with the
 threshold in integers.  Each index entry carries its graph's label mask:
-``label_mask`` hashes each label (system and action ids, app kinds, edge
-codes) into one of ``MASK_WIDTH`` buckets, and the j-th label of a bucket sets
-bit ``j * MASK_WIDTH + bucket``.  Two masks share, per bucket, the smaller of
-the two bucket counts, which is at least the sum of the per-label minima that
-the bucket holds.  So ``(m1 & m2).bit_count()`` never falls below the shared
-count of the two label multisets, and like the count bound
-(``upper_bound_value``) it bounds every mapping.  Only candidates whose bound
-reaches the threshold are sorted and searched, and the same bound skips those
-that cannot beat the best so far.  How many pass depends on the process's
-string hashes; the verdicts do not, because a search cannot beat its
-candidate's count bound.
+``label_mask`` hashes each label into one of ``MASK_WIDTH`` buckets, and the
+j-th label of a bucket sets bit ``j * MASK_WIDTH + bucket``.  Two masks share,
+per bucket, the smaller of the two bucket counts, which is at least the sum of
+the per-label minima that the bucket holds.  So ``(m1 & m2).bit_count()``
+never falls below the shared count of the two label multisets, and like the
+count bound it bounds every mapping.  Only candidates whose bound reaches the
+threshold are sorted and searched, and the same bound skips those that cannot
+beat the best so far.  How many pass depends on the process's string hashes;
+the verdicts do not, because a search cannot beat its candidate's count bound.
 
 The search is one branch and bound.  A caller that needs only some score
 passes it as ``floor``, and subtrees whose bound cannot reach it are pruned,
@@ -209,27 +215,31 @@ def _profile(g: BehaviorGraph) -> _Profile:
 
 def _labels(g: BehaviorGraph) -> tuple[list, list, list]:
     """The labels that the count bound and the mask compare: system and action
-    ids (unique within a graph), app kinds, and edge codes."""
-    sys_ids, kinds = [], []
+    ids (unique within a graph), app kinds, and per edge ``(label(src),
+    label(dst), code)``, where a node's label is its id, or its kind for an
+    app component."""
+    sys_ids, kinds, node_label = [], [], {}
     for nid, node in g.nodes.items():
         if nid.startswith("app:"):
-            kinds.append(node.kind)  # type: ignore[union-attr]
+            kinds.append(label := node.kind)  # type: ignore[union-attr]
         else:
-            sys_ids.append(nid)
-    return sys_ids, kinds, [code for _, _, code in g.edges]
+            sys_ids.append(label := nid)
+        node_label[nid] = label
+    return sys_ids, kinds, [(node_label[src], node_label[dst], code) for src, dst, code in g.edges]
 
 
 def label_mask(g: BehaviorGraph) -> int:
     """Count mask of the labels in ``_labels``: the j-th label to fall in
     bucket ``hash(label) % MASK_WIDTH`` sets bit ``j * MASK_WIDTH + bucket``.
-    The bits go into a byte buffer sized for the worst case, every label in one
-    bucket, and become an int once, so the cost stays linear in the labels
-    however they fall."""
+    An edge's label carries its endpoints' labels, so graphs that share kinds
+    and codes but not typed edges share few bits.  The bits go into a byte
+    buffer sized for the worst case, every label in one bucket, and become an
+    int once, so the cost stays linear in the labels however they fall."""
     width = MASK_WIDTH
     next_bit = list(range(width))
-    sys_ids, kinds, codes = _labels(g)
-    buf = bytearray((len(sys_ids) + len(kinds) + len(codes)) * width // 8 + 1)
-    for label in chain(sys_ids, kinds, codes):
+    sys_ids, kinds, edges = _labels(g)
+    buf = bytearray((len(sys_ids) + len(kinds) + len(edges)) * width // 8 + 1)
+    for label in chain(sys_ids, kinds, edges):
         bucket = hash(label) % width
         bit = next_bit[bucket]
         next_bit[bucket] = bit + width
@@ -243,8 +253,10 @@ def _value(units: int, total: int) -> Fraction:
 
 
 def upper_bound_value(g1: BehaviorGraph, g2: BehaviorGraph) -> Fraction:
-    """The count bound: every label the two graphs share, counted per label to
-    the smaller multiplicity, as a matched vertex or edge.  No mapping beats it."""
+    """The count bound: every label of ``_labels`` the two graphs share, counted
+    per label to the smaller multiplicity, as a matched vertex or edge.  Edges
+    count by code and endpoint labels, the most a mapping can match, so no
+    mapping beats it."""
     shared = sum(sum((Counter(a) & Counter(b)).values()) for a, b in zip(_labels(g1), _labels(g2)))
     return _value(shared, len(g1.nodes) + len(g2.nodes) + len(g1.edges) + len(g2.edges))
 

@@ -13,7 +13,8 @@ HTTP/1.1 + JSON endpoints:
 
 Requests run against an immutable store snapshot; inserts build a new store
 and swap the reference under a lock, so in-flight matches are isolated from
-concurrent updates.  Malformed bodies get a 4xx JSON error, never a crash.
+concurrent updates.  Malformed bodies get a 4xx JSON error, never a crash,
+and so do malformed request lines, which also close the connection.
 A client that resets its connection is dropped with a debug log line.
 """
 
@@ -23,6 +24,7 @@ import json
 import logging
 import threading
 import time
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .behavior_graph import CorruptGraph, graph_from_json_obj
@@ -158,6 +160,24 @@ class _Handler(BaseHTTPRequestHandler):
         except ConnectionError as exc:  # a reset or a broken pipe: the client went away
             log.debug("%s closed the connection: %s", self.address_string(), exc)
             self.close_connection = True
+
+    def parse_request(self):
+        # A request line without a version would be answered as HTTP/0.9, with
+        # no status line.  Refuse it before reading any header.
+        self.requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        if len(self.requestline.split()) == 2:
+            self.send_error(HTTPStatus.BAD_REQUEST, "request line has no HTTP version")
+            return False
+        return super().parse_request()
+
+    def send_error(self, code, message=None, explain=None):
+        """Protocol-level errors (a bad request line, an unsupported method, an
+        oversized header) get what every other error gets, a status line and a
+        JSON body, and then the connection closes."""
+        self.request_version = self.protocol_version  # else a versionless line gets no status line
+        self.close_connection = True
+        self.log_error("code %d, message %s", code, message)
+        self._send(code, {"error": message or self.responses[code][0]})
 
     def _send(self, status: int, payload: dict) -> None:
         data = json.dumps(payload, sort_keys=True).encode()

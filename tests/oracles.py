@@ -171,7 +171,9 @@ def brute_force_best(g1: BehaviorGraph, g2: BehaviorGraph) -> tuple[int, int, Fr
 
 def count_bound_reference(g1: BehaviorGraph, g2: BehaviorGraph) -> Fraction:
     """The label-count bound from per-label counters: shared system/action
-    ids plus, per app kind and per edge code, the smaller of the two counts."""
+    ids, plus per app kind the smaller of the two counts, plus per typed edge
+    (source type, destination type, code) the smaller of the two counts.  A
+    system or action endpoint's type is its id, an app endpoint's its kind."""
     total = len(g1.nodes) + len(g2.nodes) + len(g1.edges) + len(g2.edges)
     if total == 0:
         return Fraction(1)
@@ -179,9 +181,14 @@ def count_bound_reference(g1: BehaviorGraph, g2: BehaviorGraph) -> Fraction:
     sys2 = {n for n in g2.nodes if not n.startswith("app:")}
     kinds1, kinds2 = (Counter(n.kind for nid, n in g.nodes.items() if nid.startswith("app:"))
                       for g in (g1, g2))
-    codes1, codes2 = (Counter(code for _, _, code in g.edges) for g in (g1, g2))
+
+    def endpoint_type(g, nid):
+        return g.nodes[nid].kind if nid.startswith("app:") else nid
+
+    typed1, typed2 = (Counter((endpoint_type(g, s), endpoint_type(g, d), code) for s, d, code in g.edges)
+                      for g in (g1, g2))
     mv = len(sys1 & sys2) + sum(min(n, kinds2[k]) for k, n in kinds1.items())
-    me = sum(min(n, codes2[c]) for c, n in codes1.items())
+    me = sum(min(n, typed2[t]) for t, n in typed1.items())
     return Fraction(2 * (mv + me), total)
 
 

@@ -3,6 +3,7 @@ import hashlib
 import random
 import time
 from fractions import Fraction
+from itertools import count, islice
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +33,7 @@ from monet.pipeline import runtime_graph
 from monet.sigstore import FamilySignature, empty_store, insert_signature, merge_blacklist
 from monet.trace import Sss, sss_from_json_obj
 
-from oracles import brute_force_best, count_bound_reference, perturb_graph, random_cluster_graph
+from oracles import KINDS, brute_force_best, count_bound_reference, perturb_graph, random_cluster_graph
 
 
 def worked_example_pair():
@@ -161,6 +162,17 @@ def test_upper_bound_equals_the_counter_reference(seed):
         assert upper_bound_value(b, a) == count_bound_reference(b, a)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32))
+def test_upper_bound_is_at_least_the_brute_force_best(seed):
+    rng = random.Random(seed)
+    g1 = random_cluster_graph(rng)
+    g2 = perturb_graph(rng, g1) if rng.random() < 0.5 else random_cluster_graph(rng)
+    for a, b in ((g1, g2), (_coarsened(g1), g2), (_coarsened(g1), _coarsened(g2))):
+        for x, y in ((a, b), (b, a)):
+            assert upper_bound_value(x, y) >= brute_force_best(x, y)[2]
+
+
 def test_thirteen_component_chains_score_exactly_one():
     # 13 app components on each side, a size the search once handed to a
     # heuristic; isomorphic chains must now score exactly 1.
@@ -244,7 +256,7 @@ def test_exact_threshold_handles_decimal_text():
     assert Fraction(4, 5) >= exact_threshold(0.8)
 
 
-PINNED_SIMILARITY_SHA256 = "bffc4ba4dee11edb4e27cf649c4544942173ac57d81ffa276fd2bf51ba9f2161"
+PINNED_SIMILARITY_SHA256 = "30410229a4a9e283a4f382707da4c61768e5bf8b24e1870b8551249d4f24d5d8"
 
 _WIDE_SYSTEM = ("PackageManager", "PhoneSubInfo", "ISms", "WindowManager", "AudioManager")
 
@@ -461,6 +473,23 @@ def test_match_rbg_searches_no_candidate_below_the_threshold(monkeypatch):
     assert below > 0  # the window held candidates for the screen to drop
 
 
+def test_screen_drops_graphs_that_share_kinds_and_codes_but_no_typed_edge(monkeypatch):
+    # `back` reverses every app edge of `forth` and moves its system edge to a
+    # component of another kind: every kind, system id and code is shared, no
+    # (source label, destination label, code) is.
+    apps = [AppComponent(f"com.x.C{i}", KINDS[i % len(KINDS)]) for i in range(20)]
+    sys_node = SystemComponent("ISms")
+    forth = BehaviorGraph.of("runtime", [*apps, sys_node],
+                             [(apps[i], apps[i + 1], i) for i in range(19)] + [(apps[0], sys_node, 99)])
+    back = BehaviorGraph.of("runtime", [*apps, sys_node],
+                            [(apps[i + 1], apps[i], i) for i in range(19)] + [(apps[1], sys_node, 99)])
+    assert upper_bound_value(back, forth) == Fraction(2 * 21, 82)  # the nodes alone
+    searched = []
+    monkeypatch.setattr(matcher, "similarity", lambda *args: searched.append(args))
+    assert match_rbg([back], _store_with(("fam", [forth]))) is None
+    assert searched == []
+
+
 def test_window_scan_keeps_no_module_state_and_profiles_only_screened_in_graphs():
     a, b = AppComponent("com.x.A", "activity"), AppComponent("com.x.B", "service")
     near = BehaviorGraph.of("runtime", [a, b], [(a, b, 7), (b, a, 7)])
@@ -496,7 +525,8 @@ def test_window_scan_builds_each_graphs_search_tables_once(monkeypatch):
     rng = random.Random(14)
     pool = [random_cluster_graph(rng, 8, 12) for _ in range(10)]
     store = _store_with(*((f"fam{i}", [g, perturb_graph(rng, g)]) for i, g in enumerate(pool)))
-    suspect = [perturb_graph(rng, g) for g in pool[:4]] + [random_cluster_graph(rng, 8, 12)]
+    # Variants only: an unrelated suspect is dropped by the screen and gets no profile.
+    suspect = [perturb_graph(rng, g) for g in pool]
     builds: list[int] = []
     build = matcher._Profile
 
@@ -533,11 +563,12 @@ def test_label_masks_never_undercount_shared_tokens(seed):
 
 
 def test_label_mask_is_linear_when_every_label_shares_one_bucket():
-    # hash(k * 256) % 256 == 0, so each edge code of `piled` lands in bucket 0
-    # and sets the next bit up in that bucket's run.
+    # Each edge of `piled` has a code whose edge label hashes into bucket 0, so
+    # it sets the next bit up in that bucket's run.
     a, b = AppComponent("com.x.A", "activity"), AppComponent("com.x.B", "service")
     n = 20_000
-    piled = BehaviorGraph.of("runtime", [a, b], [(a, b, k * matcher.MASK_WIDTH) for k in range(n)])
+    codes = islice(filter(lambda k: hash((a.kind, b.kind, k)) % matcher.MASK_WIDTH == 0, count()), n)
+    piled = BehaviorGraph.of("runtime", [a, b], [(a, b, k) for k in codes])
     spread = BehaviorGraph.of("runtime", [a, b], [(a, b, k) for k in range(n)])
 
     def fastest(g):

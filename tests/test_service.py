@@ -169,6 +169,45 @@ def test_chunked_body_gets_one_400_and_close(caplog):
     assert "Traceback" not in caplog.text and "internal error" not in caplog.text
 
 
+def _framed_replies(raw: bytes) -> list[tuple[bytes, dict]]:
+    """Split everything a connection sent into (head, JSON body) replies,
+    asserting that each has an HTTP/1.1 status line and that nothing trails."""
+    replies = []
+    while raw:
+        head, _, rest = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 "), raw
+        length = int(next(line for line in head.split(b"\r\n")
+                          if line.lower().startswith(b"content-length:")).split(b":")[1])
+        replies.append((head, json.loads(rest[:length])))
+        raw = rest[length:]
+    return replies
+
+
+@pytest.mark.parametrize("request_bytes, replies", [
+    # the body is shorter than what follows it, so "xyz" is read as the next request line
+    (b"POST /v1/match HTTP/1.1\r\nHost: t\r\nContent-Length: 2\r\n\r\n{}xyz\r\n", 2),
+    (b"GET /v1/health\r\n\r\n", 1),
+    (b"POST /v1/match\r\n\r\n", 1),
+    (b"GET /v1/health HTTP/x.y\r\n\r\n", 1),
+    (b"DELETE /v1/health HTTP/1.1\r\nHost: t\r\n\r\n", 1),
+], ids=["bytes-after-body", "get-without-version", "post-without-version", "bad-version", "unknown-method"])
+def test_protocol_errors_get_a_json_reply_and_close(request_bytes, replies, caplog):
+    store, _ = small_store(1)
+    with running_server(store) as addr:
+        with socket.create_connection(addr, timeout=5) as sock:
+            sock.sendall(request_bytes)
+            raw = b""
+            while chunk := sock.recv(4096):  # until the server closes the connection
+                raw += chunk
+        got = _framed_replies(raw)
+        assert len(got) == replies
+        assert all(head.split()[1] in (b"400", b"501") and "error" in body for head, body in got)
+        assert b"Connection: close" in got[-1][0]
+        status, _ = http_json(addr, "GET", "/v1/health")
+        assert status == 200
+    assert "Traceback" not in caplog.text and "internal error" not in caplog.text
+
+
 @pytest.mark.parametrize("path", ["/v1/match", "/v1/signatures"])
 @pytest.mark.parametrize("body", [b'{"a": "\xff"}', b"\x80abc", b"[" * 100_000 + b"]" * 100_000],
                          ids=["bad-utf8-in-string", "bad-utf8-lead-byte", "nested-100000-deep"])
