@@ -148,27 +148,6 @@ def test_bad_content_length_gets_400(content_length, caplog):
     assert "Traceback" not in caplog.text and "internal error" not in caplog.text
 
 
-def test_chunked_body_gets_one_400_and_close(caplog):
-    store, _ = small_store(1)
-    with running_server(store) as addr:
-        with socket.create_connection(addr, timeout=5) as sock:
-            sock.sendall(b"POST /v1/match HTTP/1.1\r\nHost: t\r\nContent-Type: application/json\r\n"
-                         b"Transfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n")
-            reply = b""
-            while chunk := sock.recv(4096):  # until the server closes the connection
-                reply += chunk
-        head, _, body = reply.partition(b"\r\n\r\n")
-        assert head.startswith(b"HTTP/1.1 400 ")
-        assert b"Connection: close" in head
-        length = int(next(line for line in head.split(b"\r\n")
-                          if line.lower().startswith(b"content-length:")).split(b":")[1])
-        assert len(body) == length  # one reply and nothing after it
-        assert "Transfer-Encoding" in json.loads(body)["error"]
-        status, _ = http_json(addr, "GET", "/v1/health")
-        assert status == 200
-    assert "Traceback" not in caplog.text and "internal error" not in caplog.text
-
-
 def _framed_replies(raw: bytes) -> list[tuple[bytes, dict]]:
     """Split everything a connection sent into (head, JSON body) replies,
     asserting that each has an HTTP/1.1 status line and that nothing trails."""
@@ -183,15 +162,33 @@ def _framed_replies(raw: bytes) -> list[tuple[bytes, dict]]:
     return replies
 
 
-@pytest.mark.parametrize("request_bytes, replies", [
+def test_chunked_body_gets_one_400_and_close(caplog):
+    store, _ = small_store(1)
+    with running_server(store) as addr:
+        with socket.create_connection(addr, timeout=5) as sock:
+            sock.sendall(b"POST /v1/match HTTP/1.1\r\nHost: t\r\nContent-Type: application/json\r\n"
+                         b"Transfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n")
+            reply = b""
+            while chunk := sock.recv(4096):  # until the server closes the connection
+                reply += chunk
+        [(head, body)] = _framed_replies(reply)  # one reply and nothing after it
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in head
+        assert "Transfer-Encoding" in body["error"]
+        status, _ = http_json(addr, "GET", "/v1/health")
+        assert status == 200
+    assert "Traceback" not in caplog.text and "internal error" not in caplog.text
+
+
+@pytest.mark.parametrize("request_bytes, statuses", [
     # the body is shorter than what follows it, so "xyz" is read as the next request line
-    (b"POST /v1/match HTTP/1.1\r\nHost: t\r\nContent-Length: 2\r\n\r\n{}xyz\r\n", 2),
-    (b"GET /v1/health\r\n\r\n", 1),
-    (b"POST /v1/match\r\n\r\n", 1),
-    (b"GET /v1/health HTTP/x.y\r\n\r\n", 1),
-    (b"DELETE /v1/health HTTP/1.1\r\nHost: t\r\n\r\n", 1),
+    (b"POST /v1/match HTTP/1.1\r\nHost: t\r\nContent-Length: 2\r\n\r\n{}xyz\r\n", [b"400", b"400"]),
+    (b"GET /v1/health\r\n\r\n", [b"400"]),
+    (b"POST /v1/match\r\n\r\n", [b"400"]),
+    (b"GET /v1/health HTTP/x.y\r\n\r\n", [b"400"]),
+    (b"DELETE /v1/health HTTP/1.1\r\nHost: t\r\n\r\n", [b"501"]),
 ], ids=["bytes-after-body", "get-without-version", "post-without-version", "bad-version", "unknown-method"])
-def test_protocol_errors_get_a_json_reply_and_close(request_bytes, replies, caplog):
+def test_protocol_errors_get_a_json_reply_and_close(request_bytes, statuses, caplog):
     store, _ = small_store(1)
     with running_server(store) as addr:
         with socket.create_connection(addr, timeout=5) as sock:
@@ -200,8 +197,8 @@ def test_protocol_errors_get_a_json_reply_and_close(request_bytes, replies, capl
             while chunk := sock.recv(4096):  # until the server closes the connection
                 raw += chunk
         got = _framed_replies(raw)
-        assert len(got) == replies
-        assert all(head.split()[1] in (b"400", b"501") and "error" in body for head, body in got)
+        assert [head.split()[1] for head, _ in got] == statuses
+        assert all("error" in body for _, body in got)
         assert b"Connection: close" in got[-1][0]
         status, _ = http_json(addr, "GET", "/v1/health")
         assert status == 200
