@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 KINDS = ("activity", "service", "receiver", "provider")
 
@@ -190,6 +191,14 @@ _COMPILED_FORMS = tuple(_compile_form(op, syntax) for op, syntax in _FORMS)
 _FORM_OF = {(form.op, form.n_defs): form for form in _COMPILED_FORMS}
 
 
+# Every form in one pattern, tried in ``_FORMS`` order, each in a group of its
+# own.  That group closes after the form's field groups, so a match's
+# ``lastindex`` is it, and ``_FORM_AT`` maps it back to the form.
+_INSTRUCTION = re.compile("|".join(f"({form.pattern.pattern})" for form in _COMPILED_FORMS))
+_FORM_AT = dict(zip(accumulate((1 + form.pattern.groups for form in _COMPILED_FORMS), initial=1),
+                    _COMPILED_FORMS))
+
+
 def _check_instruction(instr: Instruction) -> None:
     form = _FORM_OF.get((instr.op, len(instr.defs)))
     if form is None or len(instr.uses) != form.n_uses or (form.payload is None) != (instr.arg is None):
@@ -320,6 +329,8 @@ _LEXEME = re.compile(r'"(?:[^"\\]|\\.?)*"?|->|[;#]', re.S)
 
 
 def _strip_comment(line: str) -> str:
+    if "#" not in line:
+        return line
     for m in _LEXEME.finditer(line):
         if m.group() == "#":
             return line[: m.start()]
@@ -350,16 +361,17 @@ def _split_block_body(body: str, lineno: int, base_col: int) -> tuple[list[tuple
 
 
 def _parse_instruction(text: str, lineno: int, col: int) -> Instruction:
-    for form in _COMPILED_FORMS:
-        m = form.pattern.match(text)
-        if m:
-            values = m.groups()
-            arg = values[-1] if form.payload else None
-            if form.payload == "s":
-                arg = arg.replace('\\"', '"').replace("\\\\", "\\")
-            uses = values[form.n_defs : form.n_defs + form.n_uses]
-            return Instruction(form.op, arg, values[: form.n_defs], uses)
-    raise PackageSyntaxError(lineno, col, "instruction")
+    m = _INSTRUCTION.match(text)
+    if m is None:
+        raise PackageSyntaxError(lineno, col, "instruction")
+    group = m.lastindex
+    form = _FORM_AT[group]
+    values = m.groups()[group : group + form.pattern.groups]
+    arg = values[-1] if form.payload else None
+    if form.payload == "s":
+        arg = arg.replace('\\"', '"').replace("\\\\", "\\")
+    uses = values[form.n_defs : form.n_defs + form.n_uses]
+    return Instruction(form.op, arg, values[: form.n_defs], uses)
 
 
 def parse_package(text: str) -> AppPackage:

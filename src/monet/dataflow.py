@@ -13,12 +13,16 @@ in a couple of sweeps thanks to the reverse post-order seeding.
 
 Intent calls are resolved by one use-def query per link of the chains in
 :data:`INTENT_CHAINS`: start-call to constructor, constructor to each operand.
+Queries are answered on demand: a backward scan of the query's own block
+first, and IN only when the scan reaches the block's entry.  The first such
+query solves the method's fixpoint (:attr:`Cfg.sets`); most methods never do.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .app_model import ComponentDecl, Instruction, MethodIR, START_OPS
 
@@ -71,6 +75,11 @@ class Cfg:
                 post.append(node)
         return list(reversed(post))
 
+    @cached_property
+    def sets(self) -> DefSets:
+        """The reaching-definition fixpoint, solved at its first use."""
+        return reaching_definitions(self)
+
 
 def build_cfg(method: MethodIR) -> Cfg:
     """Build the CFG for ``method``, pruning blocks unreachable from the entry."""
@@ -101,14 +110,8 @@ def build_cfg(method: MethodIR) -> Cfg:
     for src, dsts in succ.items():
         for dst in dsts:
             pred[dst].append(src)
-    return Cfg(
-        method=method.name,
-        blocks=blocks,
-        succ=succ,
-        pred={k: tuple(sorted(v)) for k, v in pred.items()},
-        entry_block=method.entry,
-        pruned=pruned,
-    )
+    pred_t = {k: tuple(sorted(v)) for k, v in pred.items()}
+    return Cfg(method.name, blocks, succ, pred_t, method.entry, pruned)
 
 
 @dataclass(frozen=True)
@@ -168,12 +171,13 @@ def reaching_definitions(cfg: Cfg) -> DefSets:
     return DefSets(gen=gen, kill=kill, in_=in_, out=out)
 
 
-def defs_at(cfg: Cfg, sets: DefSets, block: str, index: int, var: str) -> frozenset[DefId]:
-    """Definitions of ``var`` reaching the point just before ``blocks[block][index]``."""
+def defs_at(cfg: Cfg, block: str, index: int, var: str) -> frozenset[DefId]:
+    """Definitions of ``var`` reaching (block, index): the nearest earlier one in the block, else IN's."""
+    instrs = cfg.blocks[block]
     for idx in range(index - 1, -1, -1):
-        if var in cfg.blocks[block][idx].defs:
+        if var in instrs[idx].defs:
             return frozenset({DefId(block, idx, var)})
-    return frozenset(d for d in sets.in_[block] if d.var == var)
+    return frozenset(d for d in cfg.sets.in_[block] if d.var == var)
 
 
 def definition_reaches(cfg: Cfg, def_id: DefId, block: str, index: int) -> bool:
@@ -230,41 +234,35 @@ INTENT_CHAINS: dict[str, tuple[str, tuple[str, ...]]] = {
 }
 
 
-def _single_def(
-    cfg: Cfg, sets: DefSets, var: str, block: str, index: int
-) -> tuple[DefId, Instruction] | None:
-    reaching = defs_at(cfg, sets, block, index, var)
+def _single_def(cfg: Cfg, var: str, block: str, index: int) -> tuple[DefId, Instruction] | None:
+    reaching = defs_at(cfg, block, index, var)
     if len(reaching) != 1:
         return None
     (d,) = reaching
     return d, cfg.blocks[d.block][d.index]
 
 
-def _resolve(component: str, cfg: Cfg, sets: DefSets, start: Instruction, block: str, index: int) -> IntentCall:
+def _resolve(component: str, cfg: Cfg, start: Instruction, block: str, index: int) -> IntentCall:
     """The start-call at (block, index), resolved if every link of its chain has one definition."""
     unresolved = IntentCall(component, start.op, "unresolved", None, (block, index))
-    found = _single_def(cfg, sets, start.uses[0], block, index)
+    found = _single_def(cfg, start.uses[0], block, index)
     if found is None or found[1].op not in INTENT_CHAINS:
         return unresolved
     intent_def, ctor = found
     kind, operand_ops = INTENT_CHAINS[ctor.op]
     witness = [intent_def]
     for var, op in zip(ctor.uses, operand_ops):
-        found = _single_def(cfg, sets, var, intent_def.block, intent_def.index)
+        found = _single_def(cfg, var, intent_def.block, intent_def.index)
         if found is None or found[1].op != op:
             return unresolved
         witness.append(found[0])
     return IntentCall(component, start.op, kind, found[1].arg, (block, index), tuple(witness))
 
 
-def extract_intent_calls(component: ComponentDecl, cfg: Cfg, sets: DefSets) -> list[IntentCall]:
+def extract_intent_calls(component: ComponentDecl, cfg: Cfg) -> list[IntentCall]:
     """Resolve every start-call site; an opaque or ambiguous link leaves it unresolved."""
-    return [
-        _resolve(component.name, cfg, sets, instr, bid, idx)
-        for bid, instrs in cfg.blocks.items()
-        for idx, instr in enumerate(instrs)
-        if instr.op in START_OPS
-    ]
+    return [_resolve(component.name, cfg, instr, bid, idx) for bid, instrs in cfg.blocks.items()
+            for idx, instr in enumerate(instrs) if instr.op in START_OPS]
 
 
 def witness_supports(cfg: Cfg, call: IntentCall) -> bool:

@@ -2,21 +2,20 @@
 
 from __future__ import annotations
 
-from .app_model import AppPackage
+from .app_model import START_OPS, AppPackage
 from .behavior_graph import BehaviorGraph, build_sbg, complete_rbg
-from .dataflow import IntentCall, build_cfg, extract_intent_calls, reaching_definitions
+from .dataflow import IntentCall, build_cfg, extract_intent_calls
 from .matcher import RuntimeBehaviorSignature
 from .trace import TraceLog, build_sss
 
 
 def intent_calls(pkg: AppPackage) -> list[IntentCall]:
-    """Run CFG construction and reaching definitions over every method."""
+    """Resolve the start-calls of every method; a method without one gets no CFG."""
     calls: list[IntentCall] = []
     for comp in pkg.components:
         for method in pkg.methods.get(comp.name, ()):
-            cfg = build_cfg(method)
-            sets = reaching_definitions(cfg)
-            calls.extend(extract_intent_calls(comp, cfg, sets))
+            if any(instr.op in START_OPS for _, instrs in method.blocks for instr in instrs):
+                calls.extend(extract_intent_calls(comp, build_cfg(method)))
     return calls
 
 

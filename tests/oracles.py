@@ -1,8 +1,11 @@
 """Independent oracles and random-input generators used across the suite.
 
 Everything here deliberately avoids the library's solver code paths: the
-reaching-definitions oracle re-derives GEN/KILL and iterates chaotically, and
-the similarity oracle enumerates every injective compatible mapping outright.
+reaching-definitions oracle re-derives GEN/KILL and iterates chaotically, the
+eager intent resolver replays each block forward from a fixpoint solved up
+front, the per-form instruction parser tries the grammar's forms one at a
+time, and the similarity oracle enumerates every injective compatible mapping
+outright.
 """
 
 from __future__ import annotations
@@ -13,8 +16,12 @@ from collections import Counter
 from fractions import Fraction
 
 from monet.app_model import (
+    _COMPILED_FORMS,
+    START_OPS,
+    ComponentDecl,
     Instruction,
     MethodIR,
+    PackageSyntaxError,
     assign_class,
     assign_string,
     assign_this,
@@ -25,7 +32,7 @@ from monet.app_model import (
     opaque,
 )
 from monet.behavior_graph import AppComponent, BehaviorGraph, IntentAction, SystemComponent
-from monet.dataflow import ENTRY, Cfg, DefId
+from monet.dataflow import ENTRY, INTENT_CHAINS, Cfg, DefId, IntentCall, reaching_definitions
 
 KINDS = ("activity", "service", "receiver", "provider")
 
@@ -70,6 +77,68 @@ def chaotic_reaching_definitions(cfg: Cfg, rng: random.Random):
             in_[bid], out[bid] = new_in, new_out
         if not changed:
             return in_, out
+
+
+# ---------------------------------------------------------------------------
+# eager intent resolution
+# ---------------------------------------------------------------------------
+
+
+def eager_intent_calls(component: ComponentDecl, cfg: Cfg) -> list[IntentCall]:
+    """Every start-call resolved against a fixpoint solved before any query.
+
+    The definitions of a variable reaching a point are IN of its block, replayed
+    forward over the instructions before it.  A call resolves when each link
+    of its ``INTENT_CHAINS`` chain has exactly one definition, by the listed op.
+    """
+    in_ = reaching_definitions(cfg).in_
+
+    def single(var: str, block: str, index: int):
+        live = {d for d in in_[block] if d.var == var}
+        for idx, instr in enumerate(cfg.blocks[block][:index]):
+            if var in instr.defs:
+                live = {DefId(block, idx, var)}
+        if len(live) != 1:
+            return None
+        (d,) = live
+        return d, cfg.blocks[d.block][d.index]
+
+    calls = []
+    for bid, instrs in cfg.blocks.items():
+        for idx, start in enumerate(instrs):
+            if start.op not in START_OPS:
+                continue
+            call = IntentCall(component.name, start.op, "unresolved", None, (bid, idx))
+            found = single(start.uses[0], bid, idx)
+            if found is not None and found[1].op in INTENT_CHAINS:
+                intent_def, ctor = found
+                kind, operand_ops = INTENT_CHAINS[ctor.op]
+                operands = [single(var, intent_def.block, intent_def.index) for var in ctor.uses]
+                if all(o is not None and o[1].op == op for o, op in zip(operands, operand_ops)):
+                    witness = (intent_def, *(d for d, _ in operands))
+                    call = IntentCall(component.name, start.op, kind, operands[-1][1].arg, (bid, idx),
+                                      witness)
+            calls.append(call)
+    return calls
+
+
+# ---------------------------------------------------------------------------
+# instruction parsing, one form at a time
+# ---------------------------------------------------------------------------
+
+
+def parse_instruction_per_form(text: str, lineno: int, col: int) -> Instruction:
+    """The first form of the grammar whose own pattern matches ``text`` whole."""
+    for form in _COMPILED_FORMS:
+        m = form.pattern.match(text)
+        if m:
+            values = m.groups()
+            arg = values[-1] if form.payload else None
+            if form.payload == "s":
+                arg = arg.replace('\\"', '"').replace("\\\\", "\\")
+            uses = values[form.n_defs : form.n_defs + form.n_uses]
+            return Instruction(form.op, arg, values[: form.n_defs], uses)
+    raise PackageSyntaxError(lineno, col, "instruction")
 
 
 def random_method(rng: random.Random, max_blocks: int = 20, n_vars: int = 6) -> MethodIR:

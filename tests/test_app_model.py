@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from monet import app_model
 from monet.app_model import (
     AppPackage,
     ComponentDecl,
     DuplicateComponent,
+    Instruction,
     PackageSyntaxError,
     UnknownComponentRef,
     assign_class,
@@ -27,6 +29,8 @@ from monet.app_model import (
     validate_package,
 )
 from monet.corpus import TransformOp, apply_transform, generate_family
+
+from oracles import parse_instruction_per_form
 
 
 def test_minimal_package_one_activity_empty_method():
@@ -277,9 +281,8 @@ def _parse_outcome(text: str) -> str:
         return repr((type(exc).__name__, *where, str(exc)))
 
 
-def test_parse_outcomes_are_pinned():
-    """Every input parses to the same package or fails at the same place:
-    generated apps and hand-written edge lines, each also with seeded
+def _pinned_parse_inputs():
+    """Generated apps and hand-written edge lines, each also with seeded
     single-character insertions, deletions and replacements."""
     bases = [render_package(generate_family(seed).base_pkg) for seed in range(2)]
     bases.append(render_package(apply_transform(generate_family(2), TransformOp(3), seed=1)[0]))
@@ -297,8 +300,90 @@ def test_parse_outcomes_are_pinned():
             inputs.append(text[:pos] + text[pos + 1 :])
         else:
             inputs.append(text[:pos] + char + text[pos + 1 :])
+    return inputs
+
+
+def test_parse_outcomes_are_pinned():
+    """Every input parses to the same package or fails at the same place."""
     digest = hashlib.sha256()
-    for text in inputs:
+    for text in _pinned_parse_inputs():
         digest.update(_parse_outcome(text).encode())
         digest.update(b"\0")
     assert digest.hexdigest() == PINNED_PARSE_SHA256
+
+
+_SEGMENT_TOKENS = ('v', 'i2', '=', 'this', 'class', 'com.a.B', '"a\\"b"', '"', '\\', 'intent', 'intent_action',
+                   '(', ')', ',', 'start_activity', 'start_service', 'send_broadcast', 'opaque', 'x/y:z',
+                   'nop', '$', '#', ';', '->')
+# Variable names that are also keywords of some form, so forms compete for them.
+_SEGMENT_VARS = ("v", "i", "x_1", "this", "intent", "opaque", "nop", "class")
+
+
+def _random_segment(rng):
+    """A random instruction of any form, rendered with random spacing."""
+    def var():
+        return rng.choice(_SEGMENT_VARS)
+
+    instr = rng.choice((
+        lambda: assign_this(var()),
+        lambda: assign_class(var(), rng.choice(("com.a.B", "B$1", "_x"))),
+        lambda: assign_string(var(), rng.choice(("", "a b", 'q"t', "b\\s", "#;->", "intent(a, b)"))),
+        lambda: new_intent_explicit(var(), var(), var()),
+        lambda: new_intent_action(var(), var()),
+        lambda: rng.choice((start_activity, start_service, send_broadcast))(var()),
+        lambda: opaque(rng.choice(("enc", "a.b:c-d", "$1")), rng.choice((None, var()))),
+        nop,
+    ))()
+    out = []
+    for ch in app_model._render_instruction(instr):
+        if ch == " ":
+            out.append(rng.choice((" ", "  ", "\t")))
+        elif ch in "(),=":
+            out.append(rng.choice(("", " ")) + ch + rng.choice(("", " ")))
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
+def _instruction_outcome(parse, text):
+    try:
+        return parse(text, 7, 3)
+    except PackageSyntaxError as exc:
+        return (exc.line, exc.col, exc.expected)
+
+
+def test_one_pattern_dispatch_agrees_with_the_per_form_loop(monkeypatch):
+    """The single alternation picks the form the per-form loop picks, for every
+    instruction segment the pinned parse inputs reach and for seeded random
+    segments, and fails where it fails."""
+    segments = set()
+    parse = app_model._parse_instruction
+
+    def recording(text, lineno, col):
+        segments.add(text)
+        return parse(text, lineno, col)
+
+    monkeypatch.setattr(app_model, "_parse_instruction", recording)
+    for text in _pinned_parse_inputs():
+        _parse_outcome(text)
+    monkeypatch.undo()
+    pinned = sorted(segments)
+    assert len(pinned) > 300
+
+    rng = random.Random(20261019)
+    for _ in range(4000):
+        roll = rng.random()
+        if roll < 0.4:
+            seg = _random_segment(rng)
+        elif roll < 0.7:
+            tokens = rng.choices(_SEGMENT_TOKENS, k=rng.randint(1, 8))
+            seg = "".join(t + rng.choice(("", " ", "\t")) for t in tokens)
+        else:  # a segment with a character inserted or replaced
+            seg = rng.choice(pinned) if roll < 0.85 else _random_segment(rng)
+            pos = rng.randrange(len(seg) + 1)
+            seg = seg[:pos] + rng.choice(_MUTATION_ALPHABET) + seg[pos + rng.randrange(2) :]
+        segments.add(seg.strip())
+    outcomes = [(_instruction_outcome(parse, seg), _instruction_outcome(parse_instruction_per_form, seg))
+                for seg in sorted(segments)]
+    assert all(one == loop for one, loop in outcomes)
+    assert sum(isinstance(one, Instruction) for one, _ in outcomes) > 1000

@@ -1,7 +1,9 @@
 import hashlib
 import random
 
+from monet import dataflow, pipeline
 from monet.app_model import (
+    AppPackage,
     ComponentDecl,
     assign_class,
     assign_string,
@@ -27,7 +29,7 @@ from monet.dataflow import (
     witness_supports,
 )
 
-from oracles import chaotic_reaching_definitions, random_chain_method, random_method
+from oracles import chaotic_reaching_definitions, eager_intent_calls, random_chain_method, random_method
 
 COMP = ComponentDecl("com.t.Main", "activity")
 
@@ -133,9 +135,8 @@ def test_worklist_equals_chaotic_oracle():
 
 
 def _calls_for(instr_blocks, edges=()):
-    m = make_method("m", instr_blocks, edges)
-    cfg, sets = analyze(m)
-    return extract_intent_calls(COMP, cfg, sets), cfg
+    cfg = build_cfg(make_method("m", instr_blocks, edges))
+    return extract_intent_calls(COMP, cfg), cfg
 
 
 def test_explicit_chain_resolves_to_target_class():
@@ -206,8 +207,7 @@ def test_resolution_is_monotone_in_opaque_replacement():
     rng = random.Random(17)
     for _ in range(150):
         method = random_chain_method(rng)
-        cfg, sets = analyze(method)
-        before = extract_intent_calls(COMP, cfg, sets)
+        before = extract_intent_calls(COMP, build_cfg(method))
         resolved_before = {(c.site, c.target_kind, c.target) for c in before
                            if c.target_kind != "unresolved"}
 
@@ -226,8 +226,7 @@ def test_resolution_is_monotone_in_opaque_replacement():
         if not replaced:
             continue
         method2 = make_method(method.name, blocks, method.edges)
-        cfg2, sets2 = analyze(method2)
-        after = extract_intent_calls(COMP, cfg2, sets2)
+        after = extract_intent_calls(COMP, build_cfg(method2))
         resolved_after = {(c.site, c.target_kind, c.target) for c in after
                           if c.target_kind != "unresolved"}
         assert resolved_before <= resolved_after
@@ -236,9 +235,8 @@ def test_resolution_is_monotone_in_opaque_replacement():
 def test_every_resolved_call_carries_a_valid_witness():
     rng = random.Random(23)
     for _ in range(200):
-        method = random_chain_method(rng)
-        cfg, sets = analyze(method)
-        for call in extract_intent_calls(COMP, cfg, sets):
+        cfg = build_cfg(random_chain_method(rng))
+        for call in extract_intent_calls(COMP, cfg):
             assert witness_supports(cfg, call)
 
 
@@ -248,9 +246,9 @@ def test_defs_at_mid_block():
         [("b0", [assign_this("x"), assign_string("x", "s"), nop()])],
         [],
     )
-    cfg, sets = analyze(m)
-    assert defs_at(cfg, sets, "b0", 1, "x") == frozenset({DefId("b0", 0, "x")})
-    assert defs_at(cfg, sets, "b0", 2, "x") == frozenset({DefId("b0", 1, "x")})
+    cfg = build_cfg(m)
+    assert defs_at(cfg, "b0", 1, "x") == frozenset({DefId("b0", 0, "x")})
+    assert defs_at(cfg, "b0", 2, "x") == frozenset({DefId("b0", 1, "x")})
 
 
 # --- pinned extraction outcomes ----------------------------------------------
@@ -348,10 +346,10 @@ def _mutated_methods(rng, count):
     return out
 
 
-def test_intent_calls_are_pinned():
-    """Every start-call resolves to the same target, witness or non-result:
-    corpus apps at two sizes (base and every applicable operator), the
-    hand-written broken chains above and seeded random methods."""
+def _pinned_intent_inputs():
+    """(component, method) pairs: corpus apps at two sizes (base and every
+    applicable operator), the hand-written broken chains above and seeded
+    random methods."""
     methods = [(COMP, m) for m in _pinned_case_methods()]
     for size in (SizeParams(), SizeParams(malicious_components=(9, 11), implicit_intents=(2, 3))):
         for seed in (3, 4):
@@ -366,10 +364,85 @@ def test_intent_calls_are_pinned():
                 for comp in pkg.components:
                     methods.extend((comp, m) for m in pkg.methods.get(comp.name, ()))
     methods.extend((COMP, m) for m in _mutated_methods(random.Random(20261018), 400))
+    return methods
 
+
+def test_intent_calls_are_pinned():
+    """Every start-call resolves to the same target, witness or non-result."""
     digest = hashlib.sha256()
-    for comp, method in methods:
-        cfg, sets = analyze(method)
-        digest.update(repr(extract_intent_calls(comp, cfg, sets)).encode())
+    for comp, method in _pinned_intent_inputs():
+        digest.update(repr(extract_intent_calls(comp, build_cfg(method))).encode())
         digest.update(b"\0")
     assert digest.hexdigest() == PINNED_INTENT_CALLS_SHA256
+
+
+def test_demand_driven_resolution_equals_eager_resolution():
+    """Over the pinned inputs, resolving on demand gives what resolving
+    against a fixpoint solved up front gives, and every witness holds."""
+    for comp, method in _pinned_intent_inputs():
+        cfg = build_cfg(method)
+        calls = extract_intent_calls(comp, cfg)
+        assert calls == eager_intent_calls(comp, build_cfg(method))
+        assert all(witness_supports(cfg, call) for call in calls)
+
+
+# --- the fixpoint on demand ---------------------------------------------------
+
+
+def _count_fixpoints(monkeypatch):
+    solved = []
+    solve = dataflow.reaching_definitions
+
+    def counting(cfg):
+        solved.append(cfg.method)
+        return solve(cfg)
+
+    monkeypatch.setattr(dataflow, "reaching_definitions", counting)
+    return solved
+
+
+def test_chains_inside_their_blocks_solve_no_fixpoint(monkeypatch):
+    solved = _count_fixpoints(monkeypatch)
+    calls, _ = _calls_for(
+        [
+            ("b0", [assign_this("v1"), assign_class("v2", "com.t.B"),
+                    new_intent_explicit("i", "v1", "v2"), start_activity("i")]),
+            ("b1", [assign_string("a", "x.y"), new_intent_action("j", "a"), send_broadcast("j"),
+                    opaque("enc", "k"), start_service("k")]),
+        ],
+        [("b0", "b1"), ("b1", "b0")],
+    )
+    assert [c.target_kind for c in calls] == ["explicit", "implicit", "unresolved"]
+    assert solved == []
+
+
+def test_a_chain_leaving_its_block_solves_the_fixpoint_once(monkeypatch):
+    solved = _count_fixpoints(monkeypatch)
+    calls, _ = _calls_for(
+        [
+            ("b0", [assign_this("v1"), assign_class("v2", "com.t.B")]),
+            ("b1", [new_intent_explicit("i", "v1", "v2")]),
+            ("b2", [start_activity("i")]),
+        ],
+        [("b0", "b1"), ("b1", "b2")],
+    )
+    assert [c.target for c in calls] == ["com.t.B"]
+    assert solved == ["m"]
+
+
+def test_a_method_without_a_start_call_gets_no_cfg(monkeypatch):
+    built = []
+    build = pipeline.build_cfg
+
+    def counting(method):
+        built.append(method.name)
+        return build(method)
+
+    monkeypatch.setattr(pipeline, "build_cfg", counting)
+    pkg = AppPackage("com.t", (COMP,), {COMP.name: (
+        make_method("quiet", [("b0", [assign_this("v1"), nop()])], []),
+        make_method("loud", [("b0", [assign_string("a", "x.y"), new_intent_action("i", "a"),
+                                     send_broadcast("i")])], []),
+    )})
+    assert [c.target for c in pipeline.intent_calls(pkg)] == ["x.y"]
+    assert built == ["loud"]
