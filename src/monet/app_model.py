@@ -290,23 +290,32 @@ def validate_package(pkg: AppPackage) -> None:
         raise ValueError(f"bad package name: {pkg.package_name!r}")
     if not pkg.components:
         raise ValueError("package declares no components")
-    names: set[str] = set()
     for comp in pkg.components:
         if not CLASS_RE.match(comp.name):
             raise ValueError(f"bad component name: {comp.name!r}")
         if comp.kind not in KINDS:
             raise ValueError(f"bad component kind: {comp.kind!r}")
-        if comp.name in names:
-            raise DuplicateComponent(comp.name)
-        names.add(comp.name)
         for action in comp.intent_filters:
             if not CLASS_RE.match(action):
                 raise ValueError(f"bad intent filter action: {action!r}")
-    for comp_name, methods in pkg.methods.items():
-        if comp_name not in names:
-            raise UnknownComponentRef(comp_name)
+    _check_component_refs(pkg)
+    for methods in pkg.methods.values():
         for m in methods:
             validate_method(m)
+
+
+def _check_component_refs(pkg: AppPackage) -> None:
+    """Raise unless each component is declared once and every method is
+    filed under a declared one: the only invariants that text the parser
+    accepts can still break, since its patterns admit nothing else invalid."""
+    names: set[str] = set()
+    for comp in pkg.components:
+        if comp.name in names:
+            raise DuplicateComponent(comp.name)
+        names.add(comp.name)
+    for comp_name in pkg.methods:
+        if comp_name not in names:
+            raise UnknownComponentRef(comp_name)
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +465,7 @@ def parse_package(text: str) -> AppPackage:
         raise PackageSyntaxError(len(lines), 0, "at least one component")
 
     pkg = AppPackage(package_name, tuple(components), {k: tuple(v) for k, v in methods.items()})
-    validate_package(pkg)
+    _check_component_refs(pkg)
     return pkg
 
 

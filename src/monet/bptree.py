@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterator
 
 DEFAULT_ORDER = 32
 
@@ -97,17 +96,20 @@ class BplusIndex:
 
     def range(self, lo: int, hi: int) -> list:
         """All refs with lo <= key <= hi, in key order then insertion order."""
+        return [ref for _, refs in self.groups(lo, hi) for ref in refs]
+
+    def groups(self, lo: int, hi: int) -> list[tuple[int, tuple]]:
+        """(key, its refs) for each key in [lo, hi], in key order."""
         out: list = []
-        if hi < lo:
-            return out
-        self._collect(self.root, lo, hi, out)
+        if hi >= lo:
+            self._collect(self.root, lo, hi, out)
         return out
 
     def _collect(self, node, lo: int, hi: int, out: list) -> None:
         if isinstance(node, _Leaf):
             i = bisect_left(node.keys, lo)
             while i < len(node.keys) and node.keys[i] <= hi:
-                out.extend(node.vals[i])
+                out.append((node.keys[i], node.vals[i]))
                 i += 1
             return
         start = bisect_right(node.keys, lo)
@@ -118,19 +120,7 @@ class BplusIndex:
             self._collect(node.children[i], lo, hi, out)
 
     def keys(self) -> list[int]:
-        return [k for leaf in self._leaves() for k in leaf.keys]
-
-    def _leaves(self) -> Iterator[_Leaf]:
-        stack = [self.root]
-        out = []
-        while stack:
-            node = stack.pop()
-            if isinstance(node, _Leaf):
-                out.append(node)
-            else:
-                stack.extend(reversed(node.children))
-        # stack-based preorder keeps left-to-right order
-        return iter(out)
+        return [k for k, _ in self.groups(float("-inf"), float("inf"))]
 
     def audit(self) -> None:
         """Verify structural invariants; raises IndexInvariantError."""

@@ -28,16 +28,18 @@ by kind.  Per label, at most the smaller of the two counts can match, so the
 sum of those minima bounds every mapping.
 
 ``match_rbg`` filters the window once, with a screen compared with the
-threshold in integers.  Each index entry carries its graph's label mask:
-``label_mask`` hashes each label into one of ``MASK_WIDTH`` buckets, and the
-j-th label of a bucket sets bit ``j * MASK_WIDTH + bucket``.  Two masks share,
-per bucket, the smaller of the two bucket counts, which is at least the sum of
-the per-label minima that the bucket holds.  So ``(m1 & m2).bit_count()``
-never falls below the shared count of the two label multisets, and like the
-count bound it bounds every mapping.  Only candidates whose bound reaches the
-threshold are sorted and searched, and the same bound skips those that cannot
-beat the best so far.  How many pass depends on the process's string hashes;
-the verdicts do not, because a search cannot beat its candidate's count bound.
+threshold in integers.  ``label_mask`` hashes each label into one of
+``MASK_WIDTH`` buckets, and the j-th label of a bucket sets bit ``j *
+MASK_WIDTH + bucket``.  Two masks share, per bucket, the smaller of the two
+bucket counts, which is at least the sum of the per-label minima that the
+bucket holds.  So ``(m1 & m2).bit_count()`` never falls below the shared count
+of the two label multisets, and like the count bound it bounds every mapping.
+The screen computes it for every candidate of one app-component count at
+once, from their masks transposed into columns that the store snapshot builds
+at that count's first scan (``_KeyScreen``; ``_screen`` proves it exact).
+Only those that pass are sorted and searched, and the same bound skips those
+that cannot beat the best so far.  How many pass depends on the process's
+string hashes; the verdicts do not, as a search cannot beat its count bound.
 
 The search is one branch and bound.  A caller that needs only some score
 passes it as ``floor``, and subtrees whose bound cannot reach it are pruned,
@@ -62,7 +64,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 from operator import sub
 
 from .behavior_graph import BehaviorGraph, app_clusters, decouple
@@ -228,23 +230,87 @@ def _labels(g: BehaviorGraph) -> tuple[list, list, list]:
     return sys_ids, kinds, [(node_label[src], node_label[dst], code) for src, dst, code in g.edges]
 
 
-def label_mask(g: BehaviorGraph) -> int:
-    """Count mask of the labels in ``_labels``: the j-th label to fall in
-    bucket ``hash(label) % MASK_WIDTH`` sets bit ``j * MASK_WIDTH + bucket``.
-    An edge's label carries its endpoints' labels, so graphs that share kinds
-    and codes but not typed edges share few bits.  The bits go into a byte
-    buffer sized for the worst case, every label in one bucket, and become an
-    int once, so the cost stays linear in the labels however they fall."""
-    width = MASK_WIDTH
-    next_bit = list(range(width))
-    sys_ids, kinds, edges = _labels(g)
-    buf = bytearray((len(sys_ids) + len(kinds) + len(edges)) * width // 8 + 1)
-    for label in chain(sys_ids, kinds, edges):
+def _label_bits(g: BehaviorGraph) -> list[int]:
+    """The bits of ``label_mask(g)``, one per label of ``_labels``: the j-th
+    label to fall in bucket ``hash(label) % MASK_WIDTH`` is bit ``j *
+    MASK_WIDTH + bucket``."""
+    width, bits, next_bit = MASK_WIDTH, [], list(range(MASK_WIDTH))
+    for label in chain(*_labels(g)):
         bucket = hash(label) % width
-        bit = next_bit[bucket]
-        next_bit[bucket] = bit + width
+        bits.append(next_bit[bucket])
+        next_bit[bucket] += width
+    return bits
+
+
+def label_mask(g: BehaviorGraph) -> int:
+    """Count mask of the labels in ``_labels``, the int with ``_label_bits``
+    set.  It is built in a byte buffer, so the cost stays linear in the labels
+    however they fall."""
+    buf = bytearray((len(g.nodes) + len(g.edges)) * MASK_WIDTH // 8 + 1)
+    for bit in _label_bits(g):
         buf[bit >> 3] |= 1 << (bit & 7)
     return int.from_bytes(buf, "little")
+
+
+class _KeyScreen:
+    """The label masks of the refs filed under one app-component count, transposed:
+    ``cols[b]`` has a 1 in field r if ``refs[r]``'s mask has bit b; ``sizes``, ``ones``
+    and ``highs`` hold each field's graph size, a 1 and its top bit.  Fields are
+    ``width`` bits, all sizes below 2**(width - 5).  A ``prior`` on a prefix is extended."""
+
+    __slots__ = ("refs", "width", "cols", "sizes", "ones", "highs")
+
+    def __init__(self, store, refs: tuple, prior: _KeyScreen | None = None):
+        self.refs, self.width = refs, -(-(max(ref.size for ref in refs).bit_length() + 5) // 16) * 16
+        start, self.cols, width, rows = 0, {}, self.width, {}
+        if prior is not None and prior.width == width and refs[:len(prior.refs)] == prior.refs:
+            start, self.cols = len(prior.refs), dict(prior.cols)
+        for r in range(start, len(refs)):
+            for b in _label_bits(store.graph(refs[r])):
+                rows.setdefault(b, []).append(r)
+        for b, rs in rows.items():
+            col = bytearray((rs[-1] + 1) * width // 8)
+            for r in rs:
+                col[r * width // 8] = 1
+            self.cols[b] = self.cols.get(b, 0) | int.from_bytes(col, "little")
+        self.sizes = sum(self.cols.values())  # a graph has one bit per vertex and edge
+        self.ones = ((1 << width * len(refs)) - 1) // ((1 << width) - 1)
+        self.highs = self.ones << (width - 1)
+
+
+def _screen(store, g: BehaviorGraph, num: int, den: int, alpha: int) -> list:
+    """(ref, shared) for each ref in ``g``'s window with ``den * shared >= num *
+    (ref.size + n)``, n = g's size, shared = ``(label_mask(g) & label_mask(ref's
+    graph)).bit_count()``.  A count's screen is built at its first scan in the
+    store, from the one an insert carried over if any, and published by one assignment.
+
+    Exact: with F = width and B = 2**(F-1), every size is below B/16, so field
+    r of ``counts`` is s_r = shared <= min(B/16, n) and no sum carries.
+    ``marked`` is sum(v_r * 2**(F*r)) & highs, v_r = B + d*s_r - p*(size_r + n),
+    p = pos // q, d = ceil(den / q), where q is the least that puts den*min(B/16,
+    n) / q and pos*(B/16 + n) / q below B/2.  Then p*(size_r + n) < B/2, and
+    d*s_r < B/16 if d = 1, else d < 2*den/q and d*s_r < B: 0 < v_r < 2**F, no
+    field carries or borrows, and v_r's top bit is set iff d*s_r >= p*(size_r +
+    n).  As p/d <= num/den or p = 0, every ref that passes is marked, and the
+    exact compare drops the rest.  q is 1 at usual sizes and thresholds."""
+    bits, n, pos, out, width = _label_bits(g), len(g.nodes) + len(g.edges), max(num, 0), [], 0
+    for key, refs in store.window(g.app_count, alpha):
+        screen = store.screens.get(key)
+        if screen is None or screen.refs is not refs:
+            screen = store.screens[key] = _KeyScreen(store, refs, screen)
+        if screen.width != width:  # p and d depend on the field width, not on the count
+            width, top = screen.width, 1 << (screen.width - 1)
+            q = max(den * min(top >> 4, n), pos * ((top >> 4) + n)) // (top >> 1) + 1
+            p, d = pos // q, -(-den // q)
+        counts = sum(map(screen.cols.get, bits, repeat(0)))
+        marked = (d * counts - p * screen.sizes + (top - p * n) * screen.ones) & screen.highs
+        while marked:
+            shift = marked.bit_length() - width  # the lowest bit of the top marked field
+            marked ^= top << shift
+            ref, shared = refs[shift // width], counts >> shift & (top * 2 - 1)
+            if den * shared >= num * (ref.size + n):
+                out.append((ref, shared))
+    return out
 
 
 def _value(units: int, total: int) -> Fraction:
@@ -394,16 +460,11 @@ def match_rbg(suspect, store, threshold=DEFAULT_THRESHOLD, alpha: int = DEFAULT_
     best: tuple[str, SimilarityScore] | None = None
     best_num = best_den = 0  # best[1].value as integers
     for g in suspect:
-        mask, size, survivors = label_mask(g), len(g.nodes) + len(g.edges), []
-        for ref in store.range_candidates(g.app_count, alpha):
-            ref_mask = ref.mask
-            if ref_mask is None:  # filled once per index entry, by the first scan that reads it
-                ref_mask = ref.mask = label_mask(store.graph(ref))
-            # Sort and search only candidates whose bound 2*shared/total reaches th.
-            shared, total = (ref_mask & mask).bit_count(), ref.size + size
-            if den * shared >= num * total:
-                # the bound as a fraction ub_num/ub_den; two empty graphs score 1
-                survivors.append((ref, store.graph(ref), *((2 * shared, total) if total else (1, 1))))
+        size, survivors = len(g.nodes) + len(g.edges), []
+        # Search only candidates whose bound 2*shared/total (1 if both are empty) reaches th.
+        for ref, shared in _screen(store, g, num, den, alpha):
+            total = ref.size + size
+            survivors.append((ref, store.graph(ref), *((2 * shared, total) if total else (1, 1))))
         survivors.sort(key=lambda s: (s[0].family_id, s[0].ordinal))
         for ref, cand, ub_num, ub_den in survivors:
             if best is not None and ub_num * best_den <= best_num * ub_den:

@@ -65,22 +65,25 @@ class FamilySignature:
 
 @dataclass(slots=True, unsafe_hash=True)
 class GraphRef:
-    """One index entry: where a stored graph lives, its vertex + edge count,
-    and its ``label_mask``, which the first window scan that reads the entry
-    fills in.  Entries compare and hash by location, which never changes."""
+    """One index entry: where a stored graph lives and its vertex + edge
+    count.  Entries compare and hash by location, which never changes."""
 
     family_id: str
     ordinal: int
     size: int = field(compare=False)
-    mask: int | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class SignatureStore:
+    """One snapshot.  ``screens`` maps an app-component count to its refs' window
+    screen (``matcher._KeyScreen``), built at first use, never at load or insert.
+    An insert's copy of the dict shares them all; a count it touched extends its own."""
+
     families: dict[str, FamilySignature] = field(default_factory=dict)
     blacklist: Sss = Sss()
-    index: BplusIndex = field(default_factory=BplusIndex)
+    index: BplusIndex = field(default_factory=BplusIndex, compare=False)
     version: int = 0
+    screens: dict = field(default_factory=dict, compare=False, repr=False)
 
     def graph(self, ref: GraphRef) -> BehaviorGraph:
         return self.families[ref.family_id].graphs[ref.ordinal]
@@ -90,17 +93,13 @@ class SignatureStore:
 
     def range_candidates(self, n: int, alpha: int = DEFAULT_ALPHA) -> list[GraphRef]:
         """Stored graphs whose app-component count lies within n ± alpha."""
+        return [ref for _, refs in self.window(n, alpha) for ref in refs]
+
+    def window(self, n: int, alpha: int = DEFAULT_ALPHA) -> list[tuple[int, tuple[GraphRef, ...]]]:
+        """The same graphs as (count, refs filed under it), in count order."""
         if alpha < 0:
             raise ValueError("alpha must be non-negative")
-        return self.index.range(max(0, n - alpha), n + alpha)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SignatureStore)
-            and self.families == other.families
-            and self.blacklist == other.blacklist
-            and self.version == other.version
-        )
+        return self.index.groups(max(0, n - alpha), n + alpha)
 
 
 def empty_store() -> SignatureStore:
@@ -131,7 +130,7 @@ def insert_signature(store: SignatureStore, family: FamilySignature) -> Signatur
     notes = family.notes or (existing.notes if existing else "")
     families = dict(store.families)
     families[family.family_id] = FamilySignature(family.family_id, tuple(kept), notes)
-    return SignatureStore(families, store.blacklist, index, store.version + 1)
+    return SignatureStore(families, store.blacklist, index, store.version + 1, dict(store.screens))
 
 
 def _admit(family_id: str, g: BehaviorGraph) -> None:
@@ -148,7 +147,7 @@ def _entry(family_id: str, ordinal: int, g: BehaviorGraph) -> GraphRef:
 
 def merge_blacklist(store: SignatureStore, endpoints=(), executables=()) -> SignatureStore:
     bl = Sss(store.blacklist.endpoints.union(endpoints), store.blacklist.executables.union(executables))
-    return SignatureStore(dict(store.families), bl, store.index, store.version + 1)
+    return SignatureStore(dict(store.families), bl, store.index, store.version + 1, store.screens)
 
 
 def rebuild_index(families: dict[str, FamilySignature]) -> BplusIndex:

@@ -4,6 +4,7 @@ Everything here deliberately avoids the library's solver code paths: the
 reaching-definitions oracle re-derives GEN/KILL and iterates chaotically, the
 eager intent resolver replays each block forward from a fixpoint solved up
 front, the per-form instruction parser tries the grammar's forms one at a
+time, the window screen reference ANDs and counts one candidate's mask at a
 time, and the similarity oracle enumerates every injective compatible mapping
 outright.
 """
@@ -33,6 +34,7 @@ from monet.app_model import (
 )
 from monet.behavior_graph import AppComponent, BehaviorGraph, IntentAction, SystemComponent
 from monet.dataflow import ENTRY, INTENT_CHAINS, Cfg, DefId, IntentCall, reaching_definitions
+from monet.matcher import exact_threshold, label_mask
 
 KINDS = ("activity", "service", "receiver", "provider")
 
@@ -186,6 +188,25 @@ def random_chain_method(rng: random.Random) -> MethodIR:
         cut = rng.randint(1, len(instrs) - 1)
         return make_method("m", [("b0", instrs[:cut]), ("b1", instrs[cut:])], [("b0", "b1")])
     return make_method("m", [("b0", instrs)], [])
+
+
+# ---------------------------------------------------------------------------
+# per-candidate window screen
+# ---------------------------------------------------------------------------
+
+
+def screen_reference(store, g: BehaviorGraph, threshold, alpha: int) -> list:
+    """The window screen one candidate at a time: (ref, shared) for each ref in
+    g's window, in window order, where ``shared`` is the bit count of the AND
+    of the two label masks and ``2 * shared / total`` reaches the threshold."""
+    th = exact_threshold(threshold)
+    mask, size = label_mask(g), len(g.nodes) + len(g.edges)
+    out = []
+    for ref in store.range_candidates(g.app_count, alpha):
+        shared = (label_mask(store.graph(ref)) & mask).bit_count()
+        if 2 * th.denominator * shared >= th.numerator * (ref.size + size):
+            out.append((ref, shared))
+    return out
 
 
 # ---------------------------------------------------------------------------

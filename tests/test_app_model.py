@@ -312,6 +312,54 @@ def test_parse_outcomes_are_pinned():
     assert digest.hexdigest() == PINNED_PARSE_SHA256
 
 
+def _line_mutations(rng, text: str) -> str:
+    """``text`` with a line repeated, dropped or swapped with the next, or a
+    component name on a line renamed: enough to declare a component twice or
+    to file a method under an undeclared one."""
+    lines = text.split("\n")
+    i = rng.randrange(len(lines))
+    edit = rng.randrange(4)
+    if edit == 0:
+        lines.insert(i, lines[i])
+    elif edit == 1:
+        del lines[i]
+    elif edit == 2 and i + 1 < len(lines):
+        lines[i], lines[i + 1] = lines[i + 1], lines[i]
+    else:
+        lines[i] = lines[i].replace("com.", "org.", 1)
+    return "\n".join(lines)
+
+
+def _outcome(parse, text: str):
+    try:
+        return parse(text)
+    except Exception as exc:
+        return type(exc), getattr(exc, "line", None), getattr(exc, "col", None), str(exc)
+
+
+def test_parsing_with_only_the_component_checks_matches_full_validation(monkeypatch):
+    """``parse_package`` skips the per-method and per-instruction checks of
+    ``validate_package``, which its patterns already guarantee: over the pinned
+    inputs and seeded line edits it gives the same package, or the same
+    failure at the same line, as parsing followed by full validation."""
+    rng = random.Random(20261020)
+    texts = _pinned_parse_inputs()
+    texts += [_line_mutations(rng, rng.choice(texts[:3])) for _ in range(1500)]
+
+    def parse_then_validate(text):
+        with monkeypatch.context() as m:
+            m.setattr(app_model, "_check_component_refs", lambda pkg: None)
+            pkg = parse_package(text)
+        validate_package(pkg)
+        return pkg
+
+    fast = [_outcome(parse_package, text) for text in texts]
+    assert fast == [_outcome(parse_then_validate, text) for text in texts]
+    kinds = [o if isinstance(o, AppPackage) else o[0] for o in fast]
+    assert sum(isinstance(k, AppPackage) for k in kinds) > 300
+    assert DuplicateComponent in kinds and UnknownComponentRef in kinds
+
+
 _SEGMENT_TOKENS = ('v', 'i2', '=', 'this', 'class', 'com.a.B', '"a\\"b"', '"', '\\', 'intent', 'intent_action',
                    '(', ')', ',', 'start_activity', 'start_service', 'send_broadcast', 'opaque', 'x/y:z',
                    'nop', '$', '#', ';', '->')

@@ -1,12 +1,15 @@
+import functools
 import gc
 import hashlib
 import random
+import sys
+import threading
 import time
 from fractions import Fraction
 from itertools import count, islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from monet import matcher
@@ -33,7 +36,14 @@ from monet.pipeline import runtime_graph
 from monet.sigstore import FamilySignature, empty_store, insert_signature, merge_blacklist
 from monet.trace import Sss, sss_from_json_obj
 
-from oracles import KINDS, brute_force_best, count_bound_reference, perturb_graph, random_cluster_graph
+from oracles import (
+    KINDS,
+    brute_force_best,
+    count_bound_reference,
+    perturb_graph,
+    random_cluster_graph,
+    screen_reference,
+)
 
 
 def worked_example_pair():
@@ -358,8 +368,8 @@ def test_warm_search_tables_give_what_cold_ones_give(monkeypatch):
 # --- store matching -----------------------------------------------------------
 
 
-def _store_with(*graphs_by_family, blacklist=None):
-    store = empty_store()
+def _store_with(*graphs_by_family, blacklist=None, store=None):
+    store = empty_store() if store is None else store
     for fid, graphs in graphs_by_family:
         store = insert_signature(store, FamilySignature(fid, tuple(graphs)))
     if blacklist:
@@ -501,10 +511,169 @@ def test_window_scan_keeps_no_module_state_and_profiles_only_screened_in_graphs(
     module_state = {name: value for name, value in vars(matcher).items()
                     if isinstance(value, (dict, list, set)) and not name.startswith("__")}
     assert module_state == {}  # no table for a scan to fill, so none outlives its store
-    refs = {ref.family_id: ref for ref in store.range_candidates(2, 5)}
-    assert all(ref.mask is not None for ref in refs.values())
+    # the window's counts have their columns, kept by the store snapshot
+    assert {key: screen.refs for key, screen in store.screens.items()} == dict(store.window(2, 5))
     assert near._profile is not None
     assert far._profile is None  # the screen dropped it before any profile was built
+
+
+@functools.lru_cache(maxsize=32)
+def _graph_of_size(size: int, shift: int) -> BehaviorGraph:
+    """Two app components and ``size - 2`` edges between them, alternately
+    ``(B, A, k)`` and ``(A, B, k + shift)``: two such graphs share more edges
+    the closer their shifts."""
+    a, b = AppComponent("com.z.A", "activity"), AppComponent("com.z.B", "service")
+    edges = [(a, b, i // 2 + shift) if i % 2 else (b, a, i // 2) for i in range(size - 2)]
+    return BehaviorGraph.of("runtime", [a, b], edges)
+
+
+# Thresholds of every shape: tiny and 9-digit denominators, both ends, and the
+# default.  Large denominators and sizes coarsen the packed compare.
+SCREEN_THRESHOLDS = (Fraction(1, 3), Fraction(8137, 10000), Fraction(123456789, 987654321),
+                     Fraction(1, 10**6), Fraction(0), Fraction(1), Fraction(1, 2), Fraction(4, 5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from((None,) * 10 + (2 ** 13, 2 ** 16)))
+@example(0, 2 ** 13)
+@example(0, 2 ** 16)
+def test_column_screen_returns_the_per_candidate_screens_pairs(seed, huge):
+    rng = random.Random(seed)
+    pool = [random_cluster_graph(rng, rng.choice((3, 6, 10)), rng.choice((8, 14, 24)))
+            for _ in range(rng.randint(2, 14))]
+    families = [(f"fam{i}", [g, perturb_graph(rng, g)]) for i, g in enumerate(pool)]
+    # Sizes at the 16-bit field limit (every size below 2**11) and just past it.
+    limit = 2 ** 11 - 1
+    families.append(("edge", [_graph_of_size(limit, rng.randint(0, 40)),
+                              _graph_of_size(limit - rng.randint(0, 3), rng.randint(0, 40))]))
+    if rng.random() < 0.5:
+        families.append(("past", [_graph_of_size(limit + 1, 7)]))
+    if huge:  # where a field with less headroom would overflow
+        families.append(("huge", [_graph_of_size(huge - 1 - rng.randint(0, 9), rng.randint(0, 40))]))
+    store = _store_with(*families[: len(families) // 2])
+    # The last suspect is larger than every stored graph, or as large as the huge one.
+    suspects = [perturb_graph(rng, rng.choice(pool)), random_cluster_graph(rng, 10, 24),
+                _graph_of_size(rng.choice((2, 40, limit)), rng.randint(0, 40)),
+                _graph_of_size(huge or 3 * limit, rng.randint(0, 40))]
+    for step, family in enumerate(families[len(families) // 2:] + [None]):
+        for g in suspects:
+            drawn = rng.choice((*SCREEN_THRESHOLDS, Fraction(rng.randint(0, 10**9), 10**9)))
+            # Against the whole store, the huge pair also meets the thresholds that coarsen most.
+            extreme = huge and family is None and g is suspects[-1]
+            for th in (drawn, Fraction(1, 10**6), Fraction(8137, 10000)) if extreme else (drawn,):
+                alpha = rng.choice((0, 2, 5, 100))
+                got = matcher._screen(store, g, th.numerator, 2 * th.denominator, alpha)
+                want = screen_reference(store, g, th, alpha)
+                assert sorted(got, key=_pair_key) == sorted(want, key=_pair_key), (step, th, alpha)
+        if family is not None:  # the next snapshot derives the columns of the count it touched
+            store = _store_with(family, store=store)
+
+
+def _pair_key(pair):
+    return pair[0].family_id, pair[0].ordinal, pair[1]
+
+
+def _columns(screen):
+    return screen.refs, screen.width, screen.cols, screen.sizes, screen.ones, screen.highs
+
+
+def test_columns_derived_over_a_chain_of_inserts_equal_columns_built_from_scratch(monkeypatch):
+    rng = random.Random(44)
+    derived = []
+    build = matcher._KeyScreen
+
+    def recording_build(store, refs, prior=None):
+        screen = build(store, refs, prior)
+        if prior is not None and screen.cols is not prior.cols and len(prior.cols) <= len(screen.cols):
+            derived.append(len(refs) - len(prior.refs))
+        return screen
+
+    monkeypatch.setattr(matcher, "_KeyScreen", recording_build)
+    pool = [random_cluster_graph(rng, 6, 12) for _ in range(8)]
+    store = _store_with(*((f"fam{i}", [g]) for i, g in enumerate(pool)))
+    for step in range(40):
+        fid = f"fam{rng.randrange(10)}"
+        grown = [perturb_graph(rng, rng.choice(pool))]
+        if step % 9 == 8:  # past the 16-bit field limit: this count's columns widen
+            grown.append(_graph_of_size(2 ** 11 + step, 5))
+        store = _store_with((fid, grown), store=store)
+        for g in rng.sample(pool, 2):
+            match_rbg([g], store, Fraction(1, 2), rng.choice((1, 3)))
+    match_rbg([pool[0]], store, Fraction(1, 2), 10**6)  # the last inserts' counts too
+    assert len(derived) >= 10 and max(derived) >= 2  # some counts took several inserts at once
+    assert set(store.screens) == set(store.index.keys())
+    for key, refs in store.window(0, 10**6):
+        assert _columns(store.screens[key]) == _columns(build(store, refs)), key
+
+
+def test_an_insert_builds_no_columns_and_the_next_scan_derives_only_its_count(monkeypatch):
+    rng = random.Random(45)
+    pool = [random_cluster_graph(rng, 6, 12) for _ in range(16)]
+    store = _store_with(*((f"fam{i}", [g]) for i, g in enumerate(pool)))
+    probe = random_cluster_graph(rng, 6, 12)
+    match_rbg([probe], store, Fraction(1, 2), 100)
+    before = dict(store.screens)
+    assert set(before) == set(store.index.keys()) and len(before) >= 3
+    grown = next(g for g in (perturb_graph(rng, pool[0]) for _ in range(100))
+                 if g.app_count in before and g not in pool)
+    calls = []
+    build = matcher._KeyScreen
+
+    def counting_build(store, refs, prior=None):
+        calls.append((refs, prior))
+        return build(store, refs, prior)
+
+    monkeypatch.setattr(matcher, "_KeyScreen", counting_build)
+    new = insert_signature(store, FamilySignature("fam0", (grown,)))
+    assert calls == []  # nothing is built at insert
+    assert all(new.screens[key] is screen for key, screen in before.items())  # all shared
+    match_rbg([probe], new, Fraction(1, 2), 100)
+    touched = grown.app_count
+    assert [(refs, prior) for refs, prior in calls] == [(dict(new.window(touched, 0))[touched],
+                                                          before[touched])]
+    assert calls[0][0][:-1] == before[touched].refs
+    assert all(new.screens[key] is screen for key, screen in before.items() if key != touched)
+    assert store.screens == before  # the old snapshot keeps its own columns, unchanged
+    assert _columns(before[touched]) == _columns(build(store, before[touched].refs))
+
+
+def test_threads_building_and_deriving_columns_at_once_screen_like_the_reference():
+    rng = random.Random(46)
+    pool = [random_cluster_graph(rng, 6, 12) for _ in range(24)]
+    families = [(f"fam{i}", [g, perturb_graph(rng, g)]) for i, g in enumerate(pool)]
+    old = _store_with(*families)
+    match_rbg([pool[0]], old, Fraction(1, 2), 100)  # every count's columns, for grown to derive from
+    grown = _store_with(*((f"fam{i}", [perturb_graph(rng, pool[i])]) for i in range(0, 24, 5)), store=old)
+    store = _store_with(*families)  # builds all of its columns from scratch
+    suspects = [perturb_graph(rng, g) for g in pool[:12]]
+    th = Fraction(1, 2)
+    want = {(id(s), id(g)): sorted(screen_reference(s, g, th, 3), key=_pair_key)
+            for s in (store, grown) for g in suspects}
+    failures = []
+
+    def scan(worker):
+        try:
+            for g in suspects[worker % 4:] + suspects[:worker % 4]:
+                for s in (store, grown) if worker % 2 else (grown, store):
+                    got = matcher._screen(s, g, th.numerator, 2 * th.denominator, 3)
+                    if sorted(got, key=_pair_key) != want[id(s), id(g)]:
+                        failures.append((worker, g))
+        except Exception as exc:  # noqa: BLE001  reported by the assertion below
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=scan, args=(w,)) for w in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
+    assert set(grown.screens) == set(grown.index.keys())
 
 
 def _reachable(obj, depth):
