@@ -22,25 +22,13 @@ Python version and CPU count, to ``BENCH_analysis.json``.
 
 import argparse
 import hashlib
-import json
-import os
-import platform
 import statistics
-import subprocess
 import sys
 import time
 
 from monet import app_model, behavior_graph, corpus, dataflow, pipeline, trace
 
-
-def git_sha():
-    """HEAD's sha, suffixed ``-dirty`` when the work tree has uncommitted changes."""
-    try:
-        out = subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=40"],
-                             capture_output=True, text=True, check=True)
-        return out.stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return None
+from bench_record import write_record
 
 
 def build(families: int, benign: int, seed: int):
@@ -151,17 +139,9 @@ def main() -> int:
     print(f"intent calls sha256 {row['intent_calls_sha256']}")
 
     if args.json:
-        record = {
-            "git_sha": git_sha(),
-            "python": platform.python_version(),
-            "nproc": os.cpu_count(),
-            "inputs": {"families": args.families, "benign": args.benign, "seed": args.seed,
-                       "repeat": args.repeat, "generator": "monet.corpus"},
-            "results": row,
-        }
-        with open("BENCH_analysis.json", "w") as fh:
-            json.dump(record, fh, indent=2)
-            fh.write("\n")
+        inputs = {"families": args.families, "benign": args.benign, "seed": args.seed,
+                  "repeat": args.repeat, "generator": "monet.corpus"}
+        write_record("BENCH_analysis.json", inputs, row)
     return 0
 
 

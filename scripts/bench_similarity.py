@@ -21,18 +21,16 @@ CPU count, to ``BENCH_similarity.json``.
 """
 
 import argparse
-import json
-import os
-import platform
 import random
 import statistics
-import subprocess
 import sys
 import time
 from fractions import Fraction
 
 from monet import matcher
 from monet.behavior_graph import AppComponent, BehaviorGraph, SystemComponent
+
+from bench_record import write_record
 
 KINDS = ("activity", "service")
 SYSTEM = ("PackageManager", "PhoneSubInfo", "ISms", "WindowManager", "JobScheduler",
@@ -93,16 +91,6 @@ def timed(g1, g2, floor):
     return score, (time.perf_counter() - t0) * 1000.0
 
 
-def git_sha():
-    """HEAD's sha, suffixed ``-dirty`` when the work tree has uncommitted changes."""
-    try:
-        out = subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=40"],
-                             capture_output=True, text=True, check=True)
-        return out.stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return None
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -155,18 +143,10 @@ def main() -> int:
                   f"{exhausted:>6} {reached:>7} {row['max_bound_gap']:>8.3f}")
 
     if args.json:
-        record = {
-            "git_sha": git_sha(),
-            "python": platform.python_version(),
-            "nproc": os.cpu_count(),
-            "inputs": {"sizes": args.sizes, "pairs_per_size": args.pairs, "floor": FLOOR,
-                       "seed": args.seed, "kinds": list(KINDS),
-                       "search_budget": matcher.SEARCH_BUDGET},
-            "results": rows,
-        }
-        with open("BENCH_similarity.json", "w") as fh:
-            json.dump(record, fh, indent=2)
-            fh.write("\n")
+        inputs = {"sizes": args.sizes, "pairs_per_size": args.pairs, "floor": FLOOR,
+                  "seed": args.seed, "kinds": list(KINDS),
+                  "search_budget": matcher.SEARCH_BUDGET}
+        write_record("BENCH_similarity.json", inputs, rows)
     return 0
 
 

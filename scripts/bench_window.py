@@ -42,12 +42,8 @@ the inputs and results, with the git sha, Python version and CPU count, to
 
 import argparse
 import hashlib
-import json
-import os
-import platform
 import random
 import statistics
-import subprocess
 import sys
 import time
 import tracemalloc
@@ -56,22 +52,14 @@ from pathlib import Path
 from monet import corpus, matcher, pipeline, sigstore
 from monet.behavior_graph import decouple
 
+from bench_record import write_record
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from oracles import screen_reference  # noqa: E402
 
 SIZE = corpus.SizeParams(benign_components=(0, 0))
 THRESHOLD = matcher.DEFAULT_THRESHOLD
 ALPHA = matcher.DEFAULT_ALPHA
-
-
-def git_sha():
-    """HEAD's sha, suffixed ``-dirty`` when the work tree has uncommitted changes."""
-    try:
-        out = subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=40"],
-                             capture_output=True, text=True, check=True)
-        return out.stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return None
 
 
 def build(families: int, suspects: int, seed: int):
@@ -247,18 +235,10 @@ def main() -> int:
               f"{row['index_entry_bytes']:>7} {row['profile_bytes_mean']:>9.0f}")
 
     if args.json:
-        record = {
-            "git_sha": git_sha(),
-            "python": platform.python_version(),
-            "nproc": os.cpu_count(),
-            "inputs": {"families": args.families, "suspects": args.suspects, "seed": args.seed,
-                       "inserts": args.inserts, "threshold": str(THRESHOLD), "alpha": ALPHA,
-                       "mask_width": matcher.MASK_WIDTH},
-            "results": rows,
-        }
-        with open("BENCH_window.json", "w") as fh:
-            json.dump(record, fh, indent=2)
-            fh.write("\n")
+        inputs = {"families": args.families, "suspects": args.suspects, "seed": args.seed,
+                  "inserts": args.inserts, "threshold": str(THRESHOLD), "alpha": ALPHA,
+                  "mask_width": matcher.MASK_WIDTH}
+        write_record("BENCH_window.json", inputs, rows)
     return 0
 
 

@@ -320,9 +320,9 @@ def complete_rbg(sbg: BehaviorGraph, trace, pkg: AppPackage) -> BehaviorGraph:
 # ---------------------------------------------------------------------------
 
 
-def app_clusters(g: BehaviorGraph) -> list[set[str]]:
-    """The weakly connected app-component clusters of ``g``, with system-side
-    nodes removed, as sets of node ids."""
+def app_clusters(g: BehaviorGraph) -> dict[str, str]:
+    """Each app node id of ``g`` mapped to the root of its weakly connected app
+    cluster, system-side nodes removed: one union-find pass over the edges."""
     parent = {nid: nid for nid in g.nodes if nid.startswith("app:")}
 
     def find(x: str) -> str:
@@ -332,35 +332,31 @@ def app_clusters(g: BehaviorGraph) -> list[set[str]]:
         return x
 
     for src, dst, _ in g.edges:
-        if src in parent and dst in parent:
+        if dst in parent:
             parent[find(src)] = find(dst)
-
-    clusters: dict[str, set[str]] = {}
-    for nid in parent:
-        clusters.setdefault(find(nid), set()).add(nid)
-    return list(clusters.values())
+    return {nid: find(nid) for nid in parent}
 
 
 def decouple(rbg: BehaviorGraph) -> list[BehaviorGraph]:
     """Split a (possibly repackaged) graph into per-cluster graphs.
 
-    Removes system-side nodes, takes the weakly connected app-component
-    clusters, then gives each cluster a fresh copy of every removed node it
-    had an edge to, restoring exactly those edges.  Ordered by descending
-    app-component count, then smallest component name.
+    Removes system-side nodes and takes the weakly connected app-component
+    clusters.  In one pass, each edge is filed under its source's cluster, and
+    that cluster gets a fresh copy of the removed node the edge reaches.
+    Ordered by descending app-component count, then smallest component name.
     """
     if rbg.origin != "runtime":
         raise ValueError("decouple expects a runtime graph")
-    out: list[BehaviorGraph] = []
-    for members in app_clusters(rbg):
-        nodes = {nid: rbg.nodes[nid] for nid in members}
-        edges: dict[EdgeKey, str | None] = {}
-        for (src, dst, code), content in rbg.edges.items():
-            if src in members:
-                if not dst.startswith("app:"):
-                    nodes.setdefault(dst, rbg.nodes[dst])
-                edges[(src, dst, code)] = content
-        out.append(BehaviorGraph("runtime", nodes, edges))
+    root = app_clusters(rbg)
+    parts: dict[str, tuple[dict[str, GraphNode], dict[EdgeKey, str | None]]] = {}
+    for nid, r in root.items():
+        parts.setdefault(r, ({}, {}))[0][nid] = rbg.nodes[nid]
+    for (src, dst, code), content in rbg.edges.items():
+        nodes, edges = parts[root[src]]  # every edge source is an app node
+        if dst not in root:
+            nodes.setdefault(dst, rbg.nodes[dst])
+        edges[src, dst, code] = content
+    out = [BehaviorGraph("runtime", nodes, edges) for nodes, edges in parts.values()]
     out.sort(key=lambda g: (-g.app_count, min(n.name for n in g.app_components())))
     return out
 
@@ -368,5 +364,5 @@ def decouple(rbg: BehaviorGraph) -> list[BehaviorGraph]:
 def is_decoupled(g: BehaviorGraph) -> bool:
     """True when ``g`` is a single app cluster with no orphan system nodes;
     for a runtime graph, exactly when ``decouple(g) == [g]``."""
-    targeted = {dst for _, dst, _ in g.edges}
-    return len(app_clusters(g)) == 1 and all(nid.startswith("app:") or nid in targeted for nid in g.nodes)
+    root = app_clusters(g)
+    return len(set(root.values())) == 1 and g.nodes.keys() - root.keys() <= {dst for _, dst, _ in g.edges}

@@ -1,15 +1,18 @@
 """Per-method control-flow graphs and reaching-definition analysis.
 
 The analysis is strictly intra-method: definitions are (block, index, var)
-triples, GEN/KILL are computed per block, and IN/OUT are solved with a
-worklist seeded in reverse post-order.  The fixpoint satisfies
+triples, and a block's KILL is every definition of the variables it defines,
+one union per variable, minus its GEN.  IN/OUT are solved with a worklist
+seeded in reverse post-order.  The fixpoint satisfies
 
     OUT[B] = GEN[B] | (IN[B] - KILL[B])
     IN[B]  = union of OUT[p] over predecessors p
 
 Worst case the worklist revisits every block once per changed predecessor,
 an O(n^2) bound on set-union passes for n blocks; reducible graphs converge
-in a couple of sweeps thanks to the reverse post-order seeding.
+in a couple of sweeps thanks to the reverse post-order seeding.  The IN sets
+alone can hold Theta(n^2) definitions: on a chain of n blocks each defining a
+new variable, even one sweep takes Theta(n^2) time.
 
 Intent calls are resolved by one use-def query per link of the chains in
 :data:`INTENT_CHAINS`: start-call to constructor, constructor to each operand.
@@ -83,10 +86,9 @@ class Cfg:
 
 def build_cfg(method: MethodIR) -> Cfg:
     """Build the CFG for ``method``, pruning blocks unreachable from the entry."""
-    adj: dict[str, list[str]] = {bid: [] for bid, _ in method.blocks}
+    adj: dict[str, dict[str, None]] = {bid: {} for bid, _ in method.blocks}  # ordered successor sets
     for src, dst in method.edges:
-        if dst not in adj[src]:
-            adj[src].append(dst)
+        adj[src][dst] = None
 
     reachable: set[str] = set()
     stack = [method.entry]
@@ -135,13 +137,11 @@ def _gen_kill(cfg: Cfg) -> tuple[dict[str, frozenset[DefId]], dict[str, frozense
     kill: dict[str, frozenset[DefId]] = {ENTRY: frozenset(), EXIT: frozenset()}
     for bid, instrs in cfg.blocks.items():
         live: dict[str, DefId] = {}
-        killed: set[DefId] = set()
         for idx, instr in enumerate(instrs):
             for var in instr.defs:
-                killed |= defs_of_var[var]
                 live[var] = DefId(bid, idx, var)
         gen[bid] = frozenset(live.values())
-        kill[bid] = frozenset(killed - set(live.values()))
+        kill[bid] = frozenset().union(*(defs_of_var[var] for var in live)) - gen[bid]
     return gen, kill
 
 

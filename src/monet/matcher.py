@@ -148,7 +148,7 @@ class _Profile:
                  "caps", "suffix_counts", "by_kind")
 
     def __init__(self, g: BehaviorGraph):
-        clusters = len(app_clusters(g))
+        clusters = len(set(app_clusters(g).values()))
         if clusters > 1:
             raise NotDecoupled(f"graph with {clusters} app clusters: {g!r}")
         nids = sorted(g.nodes)

@@ -5,8 +5,8 @@ reaching-definitions oracle re-derives GEN/KILL and iterates chaotically, the
 eager intent resolver replays each block forward from a fixpoint solved up
 front, the per-form instruction parser tries the grammar's forms one at a
 time, the window screen reference ANDs and counts one candidate's mask at a
-time, and the similarity oracle enumerates every injective compatible mapping
-outright.
+time, the decoupling reference rescans the edges once per cluster, and the
+similarity oracle enumerates every injective compatible mapping outright.
 """
 
 from __future__ import annotations
@@ -366,6 +366,12 @@ def perturb_graph(rng: random.Random, g: BehaviorGraph) -> BehaviorGraph:
 
 
 def _app_clusters(g: BehaviorGraph) -> int:
+    return len(_cluster_members(g))
+
+
+def _cluster_members(g: BehaviorGraph) -> list[list[str]]:
+    """The app node ids of each weakly connected app cluster, system-side
+    nodes removed, each cluster in node order."""
     apps = [n for n in g.nodes if n.startswith("app:")]
     parent = {n: n for n in apps}
 
@@ -378,7 +384,29 @@ def _app_clusters(g: BehaviorGraph) -> int:
     for s, d, _ in g.edges:
         if s in parent and d in parent:
             parent[find(s)] = find(d)
-    return len({find(n) for n in apps})
+    clusters: dict[str, list[str]] = {}
+    for n in apps:
+        clusters.setdefault(find(n), []).append(n)
+    return list(clusters.values())
+
+
+def decouple_reference(rbg: BehaviorGraph) -> list[BehaviorGraph]:
+    """Decoupling one cluster at a time: each cluster scans every edge of
+    ``rbg`` for those leaving one of its members, so the cost is clusters x
+    edges.  Same output and order as ``decouple``."""
+    out = []
+    for members in _cluster_members(rbg):
+        member_set = set(members)
+        nodes = {nid: rbg.nodes[nid] for nid in members}
+        edges = {}
+        for (src, dst, code), content in rbg.edges.items():
+            if src in member_set:
+                if not dst.startswith("app:"):
+                    nodes.setdefault(dst, rbg.nodes[dst])
+                edges[(src, dst, code)] = content
+        out.append(BehaviorGraph("runtime", nodes, edges))
+    out.sort(key=lambda g: (-g.app_count, min(n.name for n in g.app_components())))
+    return out
 
 
 def random_multi_cluster_rbg(rng: random.Random) -> BehaviorGraph:

@@ -30,7 +30,7 @@ from monet.corpus import SizeParams, generate_family
 from monet.pipeline import intent_calls, runtime_graph, static_graph
 from monet.trace import BinderRecord, TraceLog, parse_trace
 
-from oracles import mutate_json, random_cluster_graph, random_multi_cluster_rbg
+from oracles import decouple_reference, mutate_json, random_cluster_graph, random_multi_cluster_rbg
 
 TWO_COMP_SRC = """\
 package com.t.app
@@ -296,6 +296,26 @@ def _runtime_graphs(draw):
 @given(_runtime_graphs())
 def test_is_decoupled_agrees_with_decouple(g):
     assert is_decoupled(g) == (decouple(g) == [g])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32))
+def test_decouple_equals_the_per_cluster_reference(seed):
+    # Shuffled node and edge order interleaves the clusters, and the extra
+    # app-to-app edges merge some of them.
+    rng = random.Random(seed)
+    g = random_multi_cluster_rbg(rng)
+    apps = [nid for nid in g.nodes if nid.startswith("app:")]
+    edges = dict(g.edges)
+    for _ in range(rng.randint(0, 3)):
+        edges.setdefault((rng.choice(apps), rng.choice(apps), rng.randint(1, 5)), None)
+    node_items, edge_items = list(g.nodes.items()), list(edges.items())
+    rng.shuffle(node_items)
+    rng.shuffle(edge_items)
+    g = BehaviorGraph("runtime", dict(node_items), dict(edge_items))
+    parts, expected = decouple(g), decouple_reference(g)
+    assert parts == expected
+    assert [(list(p.nodes), list(p.edges)) for p in parts] == [(list(p.nodes), list(p.edges)) for p in expected]
 
 
 def test_ordering_is_by_size_then_name():
