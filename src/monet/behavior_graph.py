@@ -343,7 +343,7 @@ def decouple(rbg: BehaviorGraph) -> list[BehaviorGraph]:
     Removes system-side nodes and takes the weakly connected app-component
     clusters.  In one pass, each edge is filed under its source's cluster, and
     that cluster gets a fresh copy of the removed node the edge reaches.
-    Ordered by descending app-component count, then smallest component name.
+    Ordered by descending app-component count, then smallest app id ("app:" + name).
     """
     if rbg.origin != "runtime":
         raise ValueError("decouple expects a runtime graph")
@@ -351,14 +351,13 @@ def decouple(rbg: BehaviorGraph) -> list[BehaviorGraph]:
     parts: dict[str, tuple[dict[str, GraphNode], dict[EdgeKey, str | None]]] = {}
     for nid, r in root.items():
         parts.setdefault(r, ({}, {}))[0][nid] = rbg.nodes[nid]
+    order = sorted(parts.values(), key=lambda part: (-len(part[0]), min(part[0])))
     for (src, dst, code), content in rbg.edges.items():
         nodes, edges = parts[root[src]]  # every edge source is an app node
         if dst not in root:
             nodes.setdefault(dst, rbg.nodes[dst])
         edges[src, dst, code] = content
-    out = [BehaviorGraph("runtime", nodes, edges) for nodes, edges in parts.values()]
-    out.sort(key=lambda g: (-g.app_count, min(n.name for n in g.app_components())))
-    return out
+    return [BehaviorGraph("runtime", nodes, edges) for nodes, edges in order]
 
 
 def is_decoupled(g: BehaviorGraph) -> bool:

@@ -121,8 +121,6 @@ class InapplicableTransform(Exception):
 class SizeParams:
     malicious_components: tuple[int, int] = (4, 6)
     benign_components: tuple[int, int] = (3, 5)
-    services_per_component: tuple[int, int] = (1, 3)
-    extra_edges: tuple[int, int] = (1, 2)
     implicit_intents: tuple[int, int] = (1, 2)
 
 
@@ -187,7 +185,7 @@ def _build_cluster(rng: random.Random, prefix: str, n_comps: int, roster, size: 
         src = names[rng.randrange(i)]
         cluster.edges.append((src, names[i], _CALL_FOR_KIND[kinds[names[i]]]))
     if n_comps >= 2:
-        for _ in range(rng.randint(*size.extra_edges)):
+        for _ in range(rng.randint(1, 2)):
             src, dst = rng.sample(names, 2)
             if (src, dst, _CALL_FOR_KIND[kinds[dst]]) not in cluster.edges:
                 cluster.edges.append((src, dst, _CALL_FOR_KIND[kinds[dst]]))
@@ -195,7 +193,7 @@ def _build_cluster(rng: random.Random, prefix: str, n_comps: int, roster, size: 
         cluster.implicit.append((rng.choice(names), f"{action_prefix}.EVENT{j}"))
     subset = rng.sample(roster, min(len(roster), max(3, n_comps)))
     for name in names:
-        for svc in rng.sample(subset, rng.randint(*size.services_per_component)):
+        for svc in rng.sample(subset, rng.randint(1, 3)):
             item = (name, *svc)
             if item not in cluster.services:
                 cluster.services.append(item)
@@ -728,7 +726,7 @@ class EvalReport:
 
 def run_eval(families: int, variants_per_family: int = 12, benign_count: int = 50,
              threshold=DEFAULT_THRESHOLD, master_seed: int = 7, alpha: int = DEFAULT_ALPHA,
-             size: SizeParams = SizeParams(), verify_pruning: bool = False) -> EvalReport:
+             verify_pruning: bool = False) -> EvalReport:
     """Build a store from generated family bases, then measure detection.
 
     Positives are transformed variants of each family (operators cycle
@@ -740,7 +738,7 @@ def run_eval(families: int, variants_per_family: int = 12, benign_count: int = 5
     store = empty_store()
     templates = []
     for i in range(families):
-        t = generate_family(master_seed * 100_000 + i, size)
+        t = generate_family(master_seed * 100_000 + i)
         templates.append(t)
         store = insert_signature(store, family_signature(t, f"fam{i:04d}"))
         endpoints, executables = family_blacklist(t)
@@ -789,7 +787,7 @@ def run_eval(families: int, variants_per_family: int = 12, benign_count: int = 5
     benign_scores: list[float] = []
     rejections = 0
     for b in range(benign_count):
-        pkg, trace, worst, rej = generate_benign(master_seed * 1_000_000 + b, size, base_graphs)
+        pkg, trace, worst, rej = generate_benign(master_seed * 1_000_000 + b, SizeParams(), base_graphs)
         rejections += rej
         benign_scores.append(float(worst))
         evaluate(pkg, trace, positive=False, op_id=None)

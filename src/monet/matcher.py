@@ -28,15 +28,15 @@ by kind.  Per label, at most the smaller of the two counts can match, so the
 sum of those minima bounds every mapping.
 
 ``match_rbg`` filters the window once, with a screen compared with the
-threshold in integers.  ``label_mask`` hashes each label into one of
-``MASK_WIDTH`` buckets, and the j-th label of a bucket sets bit ``j *
-MASK_WIDTH + bucket``.  Two masks share, per bucket, the smaller of the two
-bucket counts, which is at least the sum of the per-label minima that the
-bucket holds.  So ``(m1 & m2).bit_count()`` never falls below the shared count
-of the two label multisets, and like the count bound it bounds every mapping.
-The screen computes it for every candidate of one app-component count at
-once, from their masks transposed into columns that the store snapshot builds
-at that count's first scan (``_KeyScreen``; ``_screen`` proves it exact).
+threshold in integers.  ``_label_bits`` hashes each label into one of
+``MASK_WIDTH`` buckets, and the j-th label of a bucket gets bit ``j *
+MASK_WIDTH + bucket``.  Two graphs' bit sets share, per bucket, the smaller of
+the two bucket counts, which is at least the sum of the per-label minima that
+the bucket holds.  So the number of bits they share never falls below the
+shared count of the two label multisets, and like the count bound it bounds
+every mapping.  The screen counts it for every candidate of one app-component
+count at once, from columns, one per bit, that the store snapshot builds at
+that count's first scan (``_KeyScreen``; ``_screen`` proves it exact).
 Only those that pass are sorted and searched, and the same bound skips those
 that cannot beat the best so far.  How many pass depends on the process's
 string hashes; the verdicts do not, as a search cannot beat its count bound.
@@ -64,7 +64,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, repeat
 from operator import sub
 
 from .behavior_graph import BehaviorGraph, app_clusters, decouple
@@ -83,8 +83,8 @@ MODES = ("sss_only", "rbg_only", "combined")
 DEFAULT_THRESHOLD = Fraction(4, 5)
 DEFAULT_ALPHA = 5
 
-# Buckets of a label mask.  A fixed width keeps a mask's size a function of its
-# own graph's labels, not of how many distinct labels the store holds.
+# Buckets of the screen's label bits.  A fixed width keeps a graph's bits a
+# function of its own labels, not of how many distinct labels the store holds.
 MASK_WIDTH = 256
 
 
@@ -215,46 +215,30 @@ def _profile(g: BehaviorGraph) -> _Profile:
     return g._profile
 
 
-def _labels(g: BehaviorGraph) -> tuple[list, list, list]:
-    """The labels that the count bound and the mask compare: system and action
-    ids (unique within a graph), app kinds, and per edge ``(label(src),
-    label(dst), code)``, where a node's label is its id, or its kind for an
-    app component."""
-    sys_ids, kinds, node_label = [], [], {}
-    for nid, node in g.nodes.items():
-        if nid.startswith("app:"):
-            kinds.append(label := node.kind)  # type: ignore[union-attr]
-        else:
-            sys_ids.append(label := nid)
-        node_label[nid] = label
-    return sys_ids, kinds, [(node_label[src], node_label[dst], code) for src, dst, code in g.edges]
+def _labels(g: BehaviorGraph) -> list:
+    """The labels that the count bound and the screen compare: per node, in node
+    order, its id, or its kind for an app component; then per edge ``(label(src),
+    label(dst), code)``.  Ids carry a ``sys:``/``act:`` prefix and edge labels are
+    triples, so no two classes share a label unless a JSON kind is named like an id."""
+    label = {nid: node.kind if nid.startswith("app:") else nid  # type: ignore[union-attr]
+             for nid, node in g.nodes.items()}
+    return [*label.values(), *[(label[src], label[dst], code) for src, dst, code in g.edges]]
 
 
 def _label_bits(g: BehaviorGraph) -> list[int]:
-    """The bits of ``label_mask(g)``, one per label of ``_labels``: the j-th
-    label to fall in bucket ``hash(label) % MASK_WIDTH`` is bit ``j *
-    MASK_WIDTH + bucket``."""
+    """One bit per label of ``_labels``: the j-th label to fall in bucket
+    ``hash(label) % MASK_WIDTH`` is bit ``j * MASK_WIDTH + bucket``."""
     width, bits, next_bit = MASK_WIDTH, [], list(range(MASK_WIDTH))
-    for label in chain(*_labels(g)):
+    for label in _labels(g):
         bucket = hash(label) % width
         bits.append(next_bit[bucket])
         next_bit[bucket] += width
     return bits
 
 
-def label_mask(g: BehaviorGraph) -> int:
-    """Count mask of the labels in ``_labels``, the int with ``_label_bits``
-    set.  It is built in a byte buffer, so the cost stays linear in the labels
-    however they fall."""
-    buf = bytearray((len(g.nodes) + len(g.edges)) * MASK_WIDTH // 8 + 1)
-    for bit in _label_bits(g):
-        buf[bit >> 3] |= 1 << (bit & 7)
-    return int.from_bytes(buf, "little")
-
-
 class _KeyScreen:
-    """The label masks of the refs filed under one app-component count, transposed:
-    ``cols[b]`` has a 1 in field r if ``refs[r]``'s mask has bit b; ``sizes``, ``ones``
+    """The label bits of the refs filed under one app-component count, as columns:
+    ``cols[b]`` has a 1 in field r if ``refs[r]``'s graph has bit b; ``sizes``, ``ones``
     and ``highs`` hold each field's graph size, a 1 and its top bit.  Fields are
     ``width`` bits, all sizes below 2**(width - 5).  A ``prior`` on a prefix is extended."""
 
@@ -280,8 +264,8 @@ class _KeyScreen:
 
 def _screen(store, g: BehaviorGraph, num: int, den: int, alpha: int) -> list:
     """(ref, shared) for each ref in ``g``'s window with ``den * shared >= num *
-    (ref.size + n)``, n = g's size, shared = ``(label_mask(g) & label_mask(ref's
-    graph)).bit_count()``.  A count's screen is built at its first scan in the
+    (ref.size + n)``, n = g's size, shared = the number of ``_label_bits`` that g
+    and ref's graph share.  A count's screen is built at its first scan in the
     store, from the one an insert carried over if any, and published by one assignment.
 
     Exact: with F = width and B = 2**(F-1), every size is below B/16, so field
@@ -323,7 +307,7 @@ def upper_bound_value(g1: BehaviorGraph, g2: BehaviorGraph) -> Fraction:
     per label to the smaller multiplicity, as a matched vertex or edge.  Edges
     count by code and endpoint labels, the most a mapping can match, so no
     mapping beats it."""
-    shared = sum(sum((Counter(a) & Counter(b)).values()) for a, b in zip(_labels(g1), _labels(g2)))
+    shared = sum((Counter(_labels(g1)) & Counter(_labels(g2))).values())
     return _value(shared, len(g1.nodes) + len(g2.nodes) + len(g1.edges) + len(g2.edges))
 
 
@@ -460,11 +444,10 @@ def match_rbg(suspect, store, threshold=DEFAULT_THRESHOLD, alpha: int = DEFAULT_
     best: tuple[str, SimilarityScore] | None = None
     best_num = best_den = 0  # best[1].value as integers
     for g in suspect:
-        size, survivors = len(g.nodes) + len(g.edges), []
-        # Search only candidates whose bound 2*shared/total (1 if both are empty) reaches th.
-        for ref, shared in _screen(store, g, num, den, alpha):
-            total = ref.size + size
-            survivors.append((ref, store.graph(ref), *((2 * shared, total) if total else (1, 1))))
+        size = len(g.nodes) + len(g.edges)
+        # Search only candidates whose bound 2*shared/total reaches th (ref.size > 0).
+        survivors = [(ref, store.graph(ref), 2 * shared, ref.size + size)
+                     for ref, shared in _screen(store, g, num, den, alpha)]
         survivors.sort(key=lambda s: (s[0].family_id, s[0].ordinal))
         for ref, cand, ub_num, ub_den in survivors:
             if best is not None and ub_num * best_den <= best_num * ub_den:

@@ -34,7 +34,7 @@ from monet.app_model import (
 )
 from monet.behavior_graph import AppComponent, BehaviorGraph, IntentAction, SystemComponent
 from monet.dataflow import ENTRY, INTENT_CHAINS, Cfg, DefId, IntentCall, reaching_definitions
-from monet.matcher import exact_threshold, label_mask
+from monet.matcher import MASK_WIDTH, _label_bits, exact_threshold
 
 KINDS = ("activity", "service", "receiver", "provider")
 
@@ -193,6 +193,15 @@ def random_chain_method(rng: random.Random) -> MethodIR:
 # ---------------------------------------------------------------------------
 # per-candidate window screen
 # ---------------------------------------------------------------------------
+
+
+def label_mask(g: BehaviorGraph) -> int:
+    """The int with ``_label_bits(g)`` set.  It is built in a byte buffer, so
+    the cost stays linear in the labels however they fall."""
+    buf = bytearray((len(g.nodes) + len(g.edges)) * MASK_WIDTH // 8 + 1)
+    for bit in _label_bits(g):
+        buf[bit >> 3] |= 1 << (bit & 7)
+    return int.from_bytes(buf, "little")
 
 
 def screen_reference(store, g: BehaviorGraph, threshold, alpha: int) -> list:

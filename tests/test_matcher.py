@@ -40,6 +40,7 @@ from oracles import (
     KINDS,
     brute_force_best,
     count_bound_reference,
+    label_mask,
     perturb_graph,
     random_cluster_graph,
     screen_reference,
@@ -170,6 +171,32 @@ def test_upper_bound_equals_the_counter_reference(seed):
     for a, b in ((g1, g2), (_coarsened(g1), g2), (_coarsened(g1), _coarsened(g2))):
         assert upper_bound_value(a, b) == count_bound_reference(a, b)
         assert upper_bound_value(b, a) == count_bound_reference(b, a)
+
+
+def _shuffled(rng, g):
+    """``g`` rebuilt with its node and edge dicts in a random order."""
+    nodes, edges = list(g.nodes.items()), list(g.edges.items())
+    rng.shuffle(nodes)
+    rng.shuffle(edges)
+    return BehaviorGraph(g.origin, dict(nodes), dict(edges))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32))
+def test_label_bits_and_count_bound_ignore_node_and_edge_order(seed):
+    # A bucket's bits are j * MASK_WIDTH + bucket for every j below its count,
+    # whatever order the labels come in; the count bound counts a multiset.
+    rng = random.Random(seed)
+    g1 = random_cluster_graph(rng, 8, 12)
+    g2 = perturb_graph(rng, g1) if rng.random() < 0.5 else random_cluster_graph(rng, 8, 12)
+    for a, b in ((g1, g2), (_coarsened(g1), _coarsened(g2))):
+        s1, s2 = _shuffled(rng, a), _shuffled(rng, b)
+        assert s1 == a and s2 == b
+        for x, y in ((a, s1), (b, s2)):
+            bits = matcher._label_bits(x)
+            assert sorted(matcher._label_bits(y)) == sorted(bits) and len(set(bits)) == len(bits)
+        want = count_bound_reference(a, b)
+        assert upper_bound_value(a, b) == upper_bound_value(s1, s2) == upper_bound_value(s2, s1) == want
 
 
 @settings(max_examples=150, deadline=None)
@@ -455,7 +482,7 @@ def test_match_rbg_agrees_with_unfloored_scan_of_the_window():
 
 
 def _passes_screen(g1, g2, th):
-    shared = (matcher.label_mask(g1) & matcher.label_mask(g2)).bit_count()
+    shared = (label_mask(g1) & label_mask(g2)).bit_count()
     total = len(g1.nodes) + len(g2.nodes) + len(g1.edges) + len(g2.edges)
     return 2 * shared * th.denominator >= th.numerator * total
 
@@ -727,13 +754,14 @@ def test_label_masks_never_undercount_shared_tokens(seed):
     for a, b in ((g1, g2), (_coarsened(g1), g2), (_coarsened(g1), _coarsened(g2))):
         total = len(a.nodes) + len(b.nodes) + len(a.edges) + len(b.edges)
         for x, y in ((a, b), (b, a)):
-            shared = (matcher.label_mask(x) & matcher.label_mask(y)).bit_count()
+            shared = (label_mask(x) & label_mask(y)).bit_count()
             assert 2 * shared >= count_bound_reference(x, y) * total
 
 
-def test_label_mask_is_linear_when_every_label_shares_one_bucket():
+def test_screen_is_linear_when_every_label_shares_one_bucket():
     # Each edge of `piled` has a code whose edge label hashes into bucket 0, so
-    # it sets the next bit up in that bucket's run.
+    # it takes the next bit up in that bucket's run: one column per bit, and
+    # the screen sums as many columns as `spread`'s.
     a, b = AppComponent("com.x.A", "activity"), AppComponent("com.x.B", "service")
     n = 20_000
     codes = islice(filter(lambda k: hash((a.kind, b.kind, k)) % matcher.MASK_WIDTH == 0, count()), n)
@@ -741,17 +769,22 @@ def test_label_mask_is_linear_when_every_label_shares_one_bucket():
     spread = BehaviorGraph.of("runtime", [a, b], [(a, b, k) for k in range(n)])
 
     def fastest(g):
-        runs = []
+        store, runs = _store_with(("fam", [g])), []
+        (ref,), = (refs for _, refs in store.window(g.app_count, 0))
         for _ in range(3):
+            store.screens.clear()  # the first scan of the count builds its _KeyScreen
             start = time.perf_counter()
-            mask = matcher.label_mask(g)
+            bits = matcher._label_bits(g)
+            found = matcher._screen(store, g, 4, 10, 0)
             runs.append(time.perf_counter() - start)
-        return min(runs), mask
+        assert found == [(ref, n + 2)]
+        assert len(store.screens[g.app_count].cols) == len(set(bits)) == n + 2
+        return min(runs), bits
 
-    (piled_s, piled_mask), (spread_s, spread_mask) = fastest(piled), fastest(spread)
-    assert piled_mask.bit_count() == spread_mask.bit_count() == n + 2
-    assert piled_mask.bit_length() > (n - 1) * matcher.MASK_WIDTH
-    assert piled_s < 10 * spread_s + 0.05  # a quadratic builder needs seconds at this size
+    (piled_s, piled_bits), (spread_s, spread_bits) = fastest(piled), fastest(spread)
+    assert max(piled_bits) >= (n - 1) * matcher.MASK_WIDTH
+    assert max(spread_bits) < n * matcher.MASK_WIDTH // 64
+    assert piled_s < 10 * spread_s + 0.05  # a quadratic screen needs seconds at this size
 
 
 def _corpus_window_results():

@@ -137,9 +137,11 @@ CASES = [
     *((parse_package, package_text(shape)) for shape in (successors, block_chain, definitions)),
     (build_cfg, successors),
     (build_cfg, block_chain),
-    # Only the one-block shape: on a chain of n blocks that each define a new
-    # variable, the IN sets alone hold Theta(n^2) definitions, so no
-    # reaching-definitions solver that keeps them as sets can read 8 here.
+    # Only the one-block shape.  Two chain shapes are Theta(n^2) today: n blocks
+    # that each define a new variable, whose IN sets alone hold Theta(n^2)
+    # definitions, so no solver that keeps them as sets can read 8 here; and n
+    # blocks where block k starts the intent defined in block k-1 and defines
+    # its own, which a worklist per variable over all blocks makes worse.
     (reaching_definitions, definitions_cfg),
 ]
 
