@@ -100,7 +100,7 @@ EdgeKey = tuple[str, str, int]
 class BehaviorGraph:
     """Immutable directed graph; ``origin`` is "static" or "runtime"."""
 
-    __slots__ = ("origin", "nodes", "edges", "_profile")
+    __slots__ = ("origin", "nodes", "edges", "_profile", "_one_cluster")
 
     def __init__(self, origin: str, nodes: dict[str, GraphNode], edges: dict[EdgeKey, str | None]):
         if origin not in ("static", "runtime"):
@@ -109,7 +109,16 @@ class BehaviorGraph:
         self.nodes = nodes
         self.edges = edges
         self._profile = None
+        self._one_cluster = False  # proven a single app cluster, so a search need not check
         self._validate()
+
+    @classmethod
+    def _part(cls, nodes: dict[str, GraphNode], edges: dict[EdgeKey, str | None]) -> "BehaviorGraph":
+        """One app cluster that ``decouple`` cut from a runtime graph, which passed
+        ``_validate``: so it is neither validated nor checked for clusters again."""
+        g = object.__new__(cls)
+        g.origin, g.nodes, g.edges, g._profile, g._one_cluster = "runtime", nodes, edges, None, True
+        return g
 
     @classmethod
     def of(cls, origin: str, nodes, edges) -> "BehaviorGraph":
@@ -357,11 +366,13 @@ def decouple(rbg: BehaviorGraph) -> list[BehaviorGraph]:
         if dst not in root:
             nodes.setdefault(dst, rbg.nodes[dst])
         edges[src, dst, code] = content
-    return [BehaviorGraph("runtime", nodes, edges) for nodes, edges in order]
+    return [BehaviorGraph._part(nodes, edges) for nodes, edges in order]
 
 
 def is_decoupled(g: BehaviorGraph) -> bool:
     """True when ``g`` is a single app cluster with no orphan system nodes;
-    for a runtime graph, exactly when ``decouple(g) == [g]``."""
+    for a runtime graph, exactly when ``decouple(g) == [g]``.  A graph found to
+    be one cluster is marked so, and its first search does not check again."""
     root = app_clusters(g)
-    return len(set(root.values())) == 1 and g.nodes.keys() - root.keys() <= {dst for _, dst, _ in g.edges}
+    g._one_cluster = len(set(root.values())) == 1
+    return g._one_cluster and g.nodes.keys() - root.keys() <= {dst for _, dst, _ in g.edges}

@@ -46,11 +46,13 @@ passes it as ``floor``, and subtrees whose bound cannot reach it are pruned,
 so unrelated pairs are rejected without finding their maximum.  A search
 stops after ``SEARCH_BUDGET`` node expansions, and a result cut short says so
 (``exact=False``) and carries a proven upper ``bound``.  What a search reads
-of one graph is built once per graph, at its first search, and kept in its
-profile (``_Profile``), for either role: the search order, each step's edge
-units and fixed edges, the token sets behind the edge caps, the kind counts
-still to come, and the app nodes of each kind.  Per pair only the suffix edge
-caps are left, one set intersection per compatible pair of app nodes.
+of one graph is kept in its profile (``_Profile``), and each role's tables are
+built the first time the graph plays that role: as the smaller side, each
+step's edge units and fixed edges, the token sets behind the edge caps and the
+kind counts still to come; as the larger side, the app nodes of each kind.
+Per pair only the suffix edge caps are left, one set intersection per
+compatible pair of app nodes.  ``decide`` searches the clusters ``decouple``
+makes for the request, so a suspect's tables never outlive it.
 
 Scores are exact rationals so that threshold comparisons and the published
 worked example hold with zero tolerance.  Inside ``similarity`` and
@@ -122,97 +124,102 @@ def exact_threshold(threshold) -> Fraction:
 
 
 class _Profile:
-    """What a search reads of one graph, for either side of a pair: built at
-    the graph's first search, which refuses a graph of several app clusters,
-    and published by one assignment to ``g._profile``.  It holds the graph's
-    edge dict but not the graph, so the two form no cycle.
+    """What a search reads of one graph, built at its first search, which
+    refuses a graph of several app clusters unless ``decouple`` or admission
+    proved it one, and published by one assignment to ``g._profile``.  It holds
+    the graph's node and edge dicts but not the graph, so the two form no cycle.
+    ``order`` is the app nodes' search order, ``sys_ids`` the system and action
+    ids and ``size`` the vertex + edge count.  Each role's tables, and ``canon``,
+    are built at first use and published by one assignment of the finished
+    object, as server threads share stored graphs.
 
-    ``canon`` is the orientation key, ``sys_ids`` the system and action ids and
-    ``size`` the vertex + edge count.  An app node's fixed edges are those into
-    system/action nodes and its self-loops, as ``(target, code)`` with
-    ``None`` for the self-loop; such an edge of x matches under x -> y iff y
-    has the same one.  Its app edges are counted as ``(outgoing?, code, j)``
-    tokens, one per j-th edge of that direction and code, so that two token
-    sets share the per-key minima.  Equal tokens and equal sets are stored
-    once per graph.
+    An app node's fixed edges are those into system/action nodes and its
+    self-loops, as ``(target, code)`` with ``None`` for the self-loop; such an
+    edge of x matches under x -> y iff y has the same one.  Its app edges are
+    counted as ``(outgoing?, code, j)`` tokens, one per j-th edge of that
+    direction and code, so that two token sets share the per-key minima.
+    Equal app-edge tokens and equal token sets are stored once per table."""
 
-    As the smaller side, per search position i: ``kinds[i]``, an index into
-    ``kind_names``; ``units[i]``, its app edges to earlier positions j as
-    ``(j, outgoing?, code)``; ``fixed[i]``, its fixed edges; ``caps[i]``,
-    those plus the tokens of ``units[i]``; and ``suffix_counts[i]``, the count
-    of each kind at positions i and on.  As the larger side: ``by_kind``,
-    kind -> (app ids in order, each one's fixed edges plus the tokens of all
-    its app edges)."""
-
-    __slots__ = ("canon", "sys_ids", "size", "edges", "kind_names", "kinds", "units", "fixed",
-                 "caps", "suffix_counts", "by_kind")
+    __slots__ = ("nodes", "edges", "order", "sys_ids", "size", "_canon", "_smaller", "_larger")
 
     def __init__(self, g: BehaviorGraph):
-        clusters = len(set(app_clusters(g).values()))
-        if clusters > 1:
-            raise NotDecoupled(f"graph with {clusters} app clusters: {g!r}")
-        nids = sorted(g.nodes)
-        app_ids = [nid for nid in nids if nid.startswith("app:")]
-        # Orientation key: keeps similarity symmetric even when a search is
-        # cut short by its budget.
-        self.canon = (tuple(nids), tuple(sorted(g.edges)),
-                      tuple(g.nodes[nid].kind or "" for nid in app_ids))  # type: ignore[union-attr]
-        self.sys_ids = frozenset(nid for nid in nids if not nid.startswith("app:"))
-        self.size = len(g.nodes) + len(g.edges)
-        self.edges = g.edges
-        degree = Counter(src for src, _, _ in g.edges)
-        degree.update(dst for _, dst, _ in g.edges)
-        order = sorted(app_ids, key=lambda i: (-degree[i], i))
-        share: dict = {}
-        pos = {nid: i for i, nid in enumerate(order)}
-        units: list[list[tuple[int, bool, int]]] = [[] for _ in order]
-        fixed: list[list[tuple[str | None, int]]] = [[] for _ in order]
-        app_keys: list[list[tuple[bool, int]]] = [[] for _ in order]
-        for src, dst, code in g.edges:
-            i, j = pos[src], pos.get(dst)
-            if j is None or j == i:
-                fixed[i].append((None if j == i else dst, code))
-            else:
-                # A unit is decided at the step placing its last app endpoint.
-                units[max(i, j)].append((j, True, code) if i > j else (i, False, code))
-                app_keys[i].append((True, code))
-                app_keys[j].append((False, code))
-        kinds = [g.nodes[x].kind for x in order]  # type: ignore[union-attr]
-        self.kind_names = tuple(dict.fromkeys(kinds))
-        self.kinds = tuple(map(self.kind_names.index, kinds))
-        self.units = tuple(map(tuple, units))
-        self.fixed = tuple(map(tuple, fixed))
-        self.caps = tuple(_token_set(f, ((out, c) for _, out, c in u), share)
-                          for f, u in zip(fixed, units))
-        counts = [0] * len(self.kind_names)
-        suffix = [tuple(counts)]
-        for k in reversed(self.kinds):
-            counts[k] += 1
-            suffix.append(tuple(counts))
-        self.suffix_counts = tuple(reversed(suffix))
-        by_kind: dict[str | None, tuple[list[str], list[frozenset]]] = {}
-        for x, k, f, keys in zip(order, kinds, fixed, app_keys):
-            ids, labels = by_kind.setdefault(k, ([], []))
-            ids.append(x)
-            labels.append(_token_set(f, keys, share))
-        self.by_kind = {k: (tuple(ids), tuple(labels)) for k, (ids, labels) in by_kind.items()}
+        if not g._one_cluster and len(clusters := set(app_clusters(g).values())) > 1:
+            raise NotDecoupled(f"graph with {len(clusters)} app clusters: {g!r}")
+        self.nodes, self.edges, self.size = g.nodes, g.edges, len(g.nodes) + len(g.edges)
+        degree = dict.fromkeys(g.nodes, 0)
+        for src, dst, _ in g.edges:
+            degree[src] += 1
+            degree[dst] += 1
+        self.order = sorted((nid for nid in g.nodes if nid.startswith("app:")), key=lambda i: (-degree[i], i))
+        self.sys_ids = g.nodes.keys() - self.order
+        self._canon = self._smaller = self._larger = None
 
+    def canon(self) -> tuple:
+        """Orientation key between graphs of as many app nodes: keeps similarity
+        symmetric even when a search is cut short by its budget."""
+        if self._canon is None:
+            nids = sorted(self.nodes)
+            self._canon = (tuple(nids), tuple(sorted(self.edges)),
+                           tuple(self.nodes[nid].kind or "" for nid in nids if nid.startswith("app:")))
+        return self._canon
 
-def _token_set(fixed: list, keys, share: dict) -> frozenset:
-    """``fixed`` plus ``(*key, j)`` for the j-th occurrence of each key, with
-    every token and the set itself taken from ``share`` when an equal one is there."""
-    tokens, seen = list(fixed), {}
-    for key in keys:
-        j = seen[key] = seen.get(key, -1) + 1
-        tokens.append((*key, j))
-    token_set = frozenset(map(share.setdefault, tokens, tokens))
-    return share.setdefault(token_set, token_set)
+    def smaller(self) -> tuple:
+        """As the smaller side, ``(kind_names, kinds, units, fixed, caps,
+        suffix_counts)``, per search position i: ``kinds[i]``, an index into
+        ``kind_names``; ``units[i]``, its app edges to earlier positions j as
+        ``(j, outgoing?, code)``; ``fixed[i]``, its fixed edges; ``caps[i]``,
+        those plus the tokens of ``units[i]``; and ``suffix_counts[i]``, the
+        count of each kind at positions i and on."""
+        if self._smaller is None:
+            pos = {nid: i for i, nid in enumerate(self.order)}
+            units: list[list[tuple[int, bool, int]]] = [[] for _ in pos]
+            fixed: list[list[tuple[str | None, int]]] = [[] for _ in pos]
+            caps: list[list[tuple]] = [[] for _ in pos]
+            seen, share = {}, {}
+            for src, dst, code in self.edges:
+                i, j = pos[src], pos.get(dst)
+                if j is None or j == i:
+                    fixed[i].append(token := (None if j == i else dst, code))
+                    caps[i].append(token)
+                else:  # a unit is decided at the step placing its last app endpoint
+                    at, out = (i, True) if i > j else (j, False)
+                    units[at].append((j, True, code) if out else (i, False, code))
+                    nth = seen[at, out, code] = seen.get((at, out, code), -1) + 1
+                    caps[at].append(share.setdefault(token := (out, code, nth), token))
+            kinds = [self.nodes[x].kind for x in self.order]  # type: ignore[union-attr]
+            kind_names = tuple(dict.fromkeys(kinds))
+            kinds = tuple(map(kind_names.index, kinds))
+            counts = [0] * len(kind_names)
+            suffix = [tuple(counts)]
+            for k in reversed(kinds):
+                counts[k] += 1
+                suffix.append(tuple(counts))
+            self._smaller = (kind_names, kinds, tuple(map(tuple, units)), tuple(map(tuple, fixed)),
+                             tuple(share.setdefault(c, c) for c in map(frozenset, caps)),
+                             tuple(reversed(suffix)))
+        return self._smaller
 
-
-def _profile(g: BehaviorGraph) -> _Profile:
-    if g._profile is None:
-        g._profile = _Profile(g)
-    return g._profile
+    def larger(self) -> dict:
+        """As the larger side, ``by_kind``: kind -> (app ids in order, each
+        one's fixed edges plus the tokens of all its app edges)."""
+        if self._larger is None:
+            tokens: dict[str, list[tuple]] = {nid: [] for nid in self.order}
+            seen, share = {}, {}
+            for src, dst, code in self.edges:
+                if dst not in tokens or dst == src:
+                    tokens[src].append((None if dst == src else dst, code))
+                else:
+                    nth = seen[src, True, code] = seen.get((src, True, code), -1) + 1
+                    tokens[src].append(share.setdefault(token := (True, code, nth), token))
+                    nth = seen[dst, False, code] = seen.get((dst, False, code), -1) + 1
+                    tokens[dst].append(share.setdefault(token := (False, code, nth), token))
+            by_kind: dict[str | None, tuple[list[str], list[frozenset]]] = {}
+            for x in self.order:
+                ids, labels = by_kind.setdefault(self.nodes[x].kind, ([], []))  # type: ignore[union-attr]
+                ids.append(x)
+                labels.append(share.setdefault(label := frozenset(tokens[x]), label))
+            self._larger = {k: (tuple(ids), tuple(labels)) for k, (ids, labels) in by_kind.items()}
+        return self._larger
 
 
 def _labels(g: BehaviorGraph) -> list:
@@ -239,13 +246,13 @@ def _label_bits(g: BehaviorGraph) -> list[int]:
 class _KeyScreen:
     """The label bits of the refs filed under one app-component count, as columns:
     ``cols[b]`` has a 1 in field r if ``refs[r]``'s graph has bit b; ``sizes``, ``ones``
-    and ``highs`` hold each field's graph size, a 1 and its top bit.  Fields are
-    ``width`` bits, all sizes below 2**(width - 5).  A ``prior`` on a prefix is extended."""
+    and ``highs`` hold each field's graph size, a 1 and its top bit.  A field has 5 bits
+    more than the largest size, ``width`` in all, and a ``prior`` of that width is extended."""
 
     __slots__ = ("refs", "width", "cols", "sizes", "ones", "highs")
 
     def __init__(self, store, refs: tuple, prior: _KeyScreen | None = None):
-        self.refs, self.width = refs, -(-(max(ref.size for ref in refs).bit_length() + 5) // 16) * 16
+        self.refs, self.width = refs, max(ref.size for ref in refs).bit_length() + 5
         start, self.cols, width, rows = 0, {}, self.width, {}
         if prior is not None and prior.width == width and refs[:len(prior.refs)] == prior.refs:
             start, self.cols = len(prior.refs), dict(prior.cols)
@@ -253,9 +260,9 @@ class _KeyScreen:
             for b in _label_bits(store.graph(refs[r])):
                 rows.setdefault(b, []).append(r)
         for b, rs in rows.items():
-            col = bytearray((rs[-1] + 1) * width // 8)
+            col = bytearray(rs[-1] * width // 8 + 1)
             for r in rs:
-                col[r * width // 8] = 1
+                col[r * width >> 3] |= 1 << (r * width & 7)
             self.cols[b] = self.cols.get(b, 0) | int.from_bytes(col, "little")
         self.sizes = sum(self.cols.values())  # a graph has one bit per vertex and edge
         self.ones = ((1 << width * len(refs)) - 1) // ((1 << width) - 1)
@@ -276,7 +283,7 @@ def _screen(store, g: BehaviorGraph, num: int, den: int, alpha: int) -> list:
     d*s_r < B/16 if d = 1, else d < 2*den/q and d*s_r < B: 0 < v_r < 2**F, no
     field carries or borrows, and v_r's top bit is set iff d*s_r >= p*(size_r +
     n).  As p/d <= num/den or p = 0, every ref that passes is marked, and the
-    exact compare drops the rest.  q is 1 at usual sizes and thresholds."""
+    exact compare drops the rest.  q is 1 or 2 at usual sizes: at 4/5, p/d = num/den."""
     bits, n, pos, out, width = _label_bits(g), len(g.nodes) + len(g.edges), max(num, 0), [], 0
     for key, refs in store.window(g.app_count, alpha):
         screen = store.screens.get(key)
@@ -317,11 +324,10 @@ def _search(p1: _Profile, p2: _Profile, need: int) -> tuple[int, int, int, bool,
     incumbent and ``need - 1`` pairs + edges.  Returns (pairs, edges) of the
     best mapping found, a proven upper bound on pairs + edges, whether the
     search finished within the budget, and its expansions."""
-    kinds, units, fixed, suffix_counts = p1.kinds, p1.units, p1.fixed, p1.suffix_counts
-    e2 = p2.edges
-    n = len(kinds)
+    kind_names, kinds, units, fixed, caps, suffix_counts = p1.smaller()
+    by_kind, e2, n = p2.larger(), p2.edges, len(kinds)
     # Per kind of g1, by index: g2's (app ids, labels) and how many are unmatched.
-    candidates = [p2.by_kind.get(k, ((), ())) for k in p1.kind_names]
+    candidates = [by_kind.get(k, ((), ())) for k in kind_names]
     avail = [len(ids) for ids, _ in candidates]
     # Matching a node never unmatches an edge, so g1 nodes of a kind need to
     # stay unmatched only as far as that kind outnumbers its g2 nodes.
@@ -329,8 +335,8 @@ def _search(p1: _Profile, p2: _Profile, need: int) -> tuple[int, int, int, bool,
     # Suffix cap: the most edge units the remaining steps can gain.  Under
     # x -> y a fixed edge matches only if y has it too, and the units between
     # x and other app nodes are capped per direction and code by y's app edges.
-    steps = [max(map(len, map(caps.__and__, candidates[k][1])), default=0)
-             for caps, k in zip(p1.caps, kinds)]
+    steps = [max(map(len, map(cap.__and__, candidates[k][1])), default=0)
+             for cap, k in zip(caps, kinds)]
     suffix_cap = [*accumulate(reversed(steps), initial=0)][::-1]
 
     best = (0, 0)  # leaving every app node unmatched is always a mapping
@@ -404,8 +410,12 @@ def similarity(g1: BehaviorGraph, g2: BehaviorGraph, floor=0) -> SimilarityScore
     unless the search spent ``SEARCH_BUDGET`` first: then ``bound`` may reach
     the floor.  Symmetric in its arguments.
     """
-    p1, p2 = _profile(g1), _profile(g2)
-    if (len(p1.kinds), p1.canon) > (len(p2.kinds), p2.canon):
+    for g in (g1, g2):
+        if g._profile is None:
+            g._profile = _Profile(g)
+    p1, p2 = g1._profile, g2._profile
+    n1, n2 = len(p1.order), len(p2.order)
+    if n1 > n2 or n1 == n2 and p1.canon() > p2.canon():
         p1, p2 = p2, p1
 
     common_sys = len(p1.sys_ids & p2.sys_ids)

@@ -745,6 +745,84 @@ def test_window_scan_builds_each_graphs_search_tables_once(monkeypatch):
         assert not any(r is g for r in reachable)
 
 
+def test_decide_builds_the_suspects_tables_per_request_and_the_stored_ones_once(monkeypatch):
+    """Per request by design: ``decide`` searches the clusters that ``decouple``
+    makes anew, so the caller's signature keeps no tables and none outlive the
+    request, while a stored graph's tables are built at its first search only."""
+    g1, g2 = worked_example_pair()
+    store = _store_with(("famA", [g2]))
+    (ref,) = store.range_candidates(g2.app_count, 0)
+    sig = RuntimeBehaviorSignature("com.x", g1, Sss())
+    built = []
+    build = matcher._Profile
+
+    def counting_build(g):
+        built.append(g)
+        return build(g)
+
+    monkeypatch.setattr(matcher, "_Profile", counting_build)
+    for _ in range(2):
+        assert decide(sig, store, mode="rbg_only").family == "famA"
+    suspects = [g for g in built if g is not store.graph(ref)]
+    assert len(suspects) == 2 and suspects[0] is not suspects[1] and suspects == [g1, g1]
+    assert len(built) == 3  # and the stored graph's, once
+    assert sig.rbg._profile is None
+
+
+def test_decoupled_and_admitted_graphs_are_not_checked_for_clusters_again(monkeypatch):
+    g1, g2 = worked_example_pair()
+    store = _store_with(("famA", [g2]))
+    checked = []
+    clusters = matcher.app_clusters
+    monkeypatch.setattr(matcher, "app_clusters", lambda g: checked.append(g) or clusters(g))
+    assert decide(RuntimeBehaviorSignature("com.x", g1, Sss()), store, mode="rbg_only").family == "famA"
+    assert checked == []  # the suspect's clusters come from decouple, the stored graph was admitted
+    a, b = _fresh(g1), _fresh(g2)
+    similarity(a, b)
+    assert checked == [a, b]  # any other graph is checked at its first search
+
+
+def test_threads_searching_cold_stored_graphs_in_both_roles_score_like_a_serial_run():
+    rng = random.Random(47)
+    pool = [random_cluster_graph(rng, rng.choice((3, 6, 8)), 14) for _ in range(10)]
+    pool += [perturb_graph(rng, g) for g in pool[:4]]
+    store = _store_with(*((f"fam{i}", [g]) for i, g in enumerate(pool)))
+    graphs = [store.graph(ref) for ref in store.range_candidates(0, 100)]
+    assert len({g.app_count for g in graphs}) >= 3  # so each graph plays both roles
+    tasks = [(a, b, floor) for a in graphs for b in graphs for floor in (0, Fraction(4, 5))]
+    want = [similarity(_fresh(a), _fresh(b), floor) for a, b, floor in tasks]
+    assert all(g._profile is None for g in graphs)
+    failures = []
+
+    def search(worker):
+        try:
+            start = worker * len(tasks) // 8
+            for i in [*range(start, len(tasks)), *range(start)]:
+                if similarity(*tasks[i]) != want[i]:
+                    failures.append((worker, i))
+        except Exception as exc:  # noqa: BLE001  reported by the assertion below
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=search, args=(w,)) for w in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
+
+
+def test_screen_fields_are_sized_to_their_count():
+    store = _store_with(("a", [_graph_of_size(20, 0)]), ("b", [_graph_of_size(40, 1)]))
+    match_rbg([_graph_of_size(30, 0)], store, Fraction(1, 2), 0)
+    assert store.screens[2].width == (40).bit_length() + 5  # not rounded up to 16 bits
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32))
 def test_label_masks_never_undercount_shared_tokens(seed):

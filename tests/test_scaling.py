@@ -126,12 +126,26 @@ def json_round_trip(g: BehaviorGraph):
     return graph_from_json(graph_to_json(g))
 
 
+def smaller_side(g: BehaviorGraph):
+    """A search profile and its tables as the smaller side of a pair."""
+    return matcher._Profile(g).smaller()
+
+
+def larger_side(g: BehaviorGraph):
+    return matcher._Profile(g).larger()
+
+
+def canon(g: BehaviorGraph):
+    return matcher._Profile(g).canon()
+
+
 CASES = [
     *((json_round_trip, shape) for shape in (hub, star, chain)),
     *((decouple, shape) for shape in (hub, star, chain)),
     *((is_decoupled, shape) for shape in (hub, star, chain)),
     *((matcher._label_bits, shape) for shape in (hub, star, chain, codes)),
     *((matcher._Profile, shape) for shape in (star, chain, codes)),
+    *((role, shape) for role in (smaller_side, larger_side, canon) for shape in (star, chain, codes)),
     (parse_trace, callers),
     (parse_trace, one_caller),
     *((parse_package, package_text(shape)) for shape in (successors, block_chain, definitions)),
