@@ -12,9 +12,9 @@ the client path on its own, over every app, and reports microseconds per app
 * ``build_sbg`` and ``complete_rbg``, the static and runtime graphs.
 
 It also counts, per app, the methods, the methods with a start-call, the
-CFGs built and the reaching-definition fixpoints solved, and digests the
-resolved intent calls, which must not move when the analysis changes
-underneath.  ``--json`` also writes the inputs and results, with the git sha,
+CFGs built and the (variable, block) OUT entries their reaching-definition
+queries solved, and digests the resolved intent calls, which must not move
+when the analysis changes underneath.  ``--json`` also writes the inputs and results, with the git sha,
 Python version and CPU count, to ``BENCH_analysis.json``.
 
     PYTHONPATH=src python3 scripts/bench_analysis.py --json
@@ -49,19 +49,20 @@ def build(families: int, benign: int, seed: int):
     return [(app_model.render_package(pkg), trace.render_trace(log)) for pkg, log in apps]
 
 
-def counting(module_attr: str, counts: dict):
+def recording(module_attr: str, results: list):
     """Wrap a ``monet.dataflow`` function in every monet module that holds it,
-    counting its calls; returns a function that undoes the wrapping."""
+    keeping what each call returns; returns a function that undoes the wrapping."""
     original = getattr(dataflow, module_attr)
 
-    def counted(*args, **kwargs):
-        counts[module_attr] += 1
-        return original(*args, **kwargs)
+    def recorded(*args, **kwargs):
+        result = original(*args, **kwargs)
+        results.append(result)
+        return result
 
     holders = [mod for name, mod in sys.modules.items()
                if name.startswith("monet") and getattr(mod, module_attr, None) is original]
     for mod in holders:
-        setattr(mod, module_attr, counted)
+        setattr(mod, module_attr, recorded)
 
     def undo():
         for mod in holders:
@@ -95,23 +96,22 @@ def measure(texts, repeat: int) -> dict:
     methods = [m for pkg in pkgs for ms in pkg.methods.values() for m in ms]
     with_start = sum(1 for m in methods
                      if any(i.op in app_model.START_OPS for _, instrs in m.blocks for i in instrs))
-    counts = {"build_cfg": 0, "reaching_definitions": 0}
-    undo = [counting(attr, counts) for attr in counts]
+    cfgs = []
+    undo = recording("build_cfg", cfgs)
     try:
         digest = hashlib.sha256()
         for pkg in pkgs:
             digest.update(repr(pipeline.intent_calls(pkg)).encode())
     finally:
-        for u in undo:
-            u()
+        undo()
     return {
         "apps": n,
         "us_per_app": us,
         "analysis_us_per_app": sum(us.values()),
         "methods_per_app": len(methods) / n,
         "methods_with_start_call_per_app": with_start / n,
-        "cfgs_built_per_app": counts["build_cfg"] / n,
-        "fixpoints_solved_per_app": counts["reaching_definitions"] / n,
+        "cfgs_built_per_app": len(cfgs) / n,
+        "out_entries_solved_per_app": sum(len(cfg.solved) for cfg in cfgs) / n,
         "intent_calls_sha256": digest.hexdigest(),
     }
 
@@ -135,7 +135,7 @@ def main() -> int:
     print(f"per app: {row['methods_per_app']:.2f} methods, "
           f"{row['methods_with_start_call_per_app']:.2f} with a start-call, "
           f"{row['cfgs_built_per_app']:.2f} CFGs built, "
-          f"{row['fixpoints_solved_per_app']:.2f} fixpoints solved")
+          f"{row['out_entries_solved_per_app']:.2f} OUT entries solved")
     print(f"intent calls sha256 {row['intent_calls_sha256']}")
 
     if args.json:

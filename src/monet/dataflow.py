@@ -1,31 +1,31 @@
 """Per-method control-flow graphs and reaching-definition analysis.
 
 The analysis is strictly intra-method: definitions are (block, index, var)
-triples, and a block's KILL is every definition of the variables it defines,
-one union per variable, minus its GEN.  IN/OUT are solved with a worklist
-seeded in reverse post-order.  The fixpoint satisfies
+triples.  Every question is one query for one variable, "which definitions of
+``var`` reach the entry of ``block``?", answered on demand:
 
-    OUT[B] = GEN[B] | (IN[B] - KILL[B])
+    OUT[B] = the last definition of var in B, if B defines var, else IN[B]
     IN[B]  = union of OUT[p] over predecessors p
 
-Worst case the worklist revisits every block once per changed predecessor,
-an O(n^2) bound on set-union passes for n blocks; reducible graphs converge
-in a couple of sweeps thanks to the reverse post-order seeding.  The IN sets
-alone can hold Theta(n^2) definitions: on a chain of n blocks each defining a
-new variable, even one sweep takes Theta(n^2) time.
+A query walks predecessors backwards, stopping at blocks that define ``var``
+and at blocks an earlier query solved, then sweeps the blocks it found,
+farthest first, until nothing changes.  Each (variable, block) OUT is solved
+once and kept in :attr:`Cfg.solved`; a ``Cfg`` is built per method per request
+and no thread shares it, so nothing outlives a request.  Worst case, a
+method's queries walk each block and edge once per variable asked about, and
+sweep what they walk twice, plus once per level of loop nesting on a reducible
+graph (Kam & Ullman's bound for a depth-first order).
 
 Intent calls are resolved by one use-def query per link of the chains in
-:data:`INTENT_CHAINS`: start-call to constructor, constructor to each operand.
-Queries are answered on demand: a backward scan of the query's own block
-first, and IN only when the scan reaches the block's entry.  The first such
-query solves the method's fixpoint (:attr:`Cfg.sets`); most methods never do.
+:data:`INTENT_CHAINS`, after a backward scan of the query's own block.
+``reaching_definitions`` builds the debug dump's whole table from the same
+queries; its IN sets alone can hold Theta(n^2) definitions, so it stays off
+the request path.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 from .app_model import ComponentDecl, Instruction, MethodIR, START_OPS
 
@@ -51,7 +51,8 @@ class Cfg:
 
     ``succ``/``pred`` include the synthetic ENTRY and EXIT nodes; blocks with
     no declared successor fall through to EXIT.  Unreachable blocks are
-    dropped and reported in ``pruned``.
+    dropped and reported in ``pruned``.  ``solved`` holds OUT per
+    (variable, block) as the method's queries solve it.
     """
 
     method: str
@@ -60,28 +61,7 @@ class Cfg:
     pred: dict[str, tuple[str, ...]]
     entry_block: str
     pruned: tuple[str, ...]
-
-    def reverse_postorder(self) -> list[str]:
-        seen = {ENTRY}
-        post: list[str] = []
-        stack: list[tuple[str, int]] = [(ENTRY, 0)]
-        while stack:
-            node, i = stack.pop()
-            succs = self.succ.get(node, ())
-            if i < len(succs):
-                stack.append((node, i + 1))
-                nxt = succs[i]
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append((nxt, 0))
-            else:
-                post.append(node)
-        return list(reversed(post))
-
-    @cached_property
-    def sets(self) -> DefSets:
-        """The reaching-definition fixpoint, solved at its first use."""
-        return reaching_definitions(self)
+    solved: dict[tuple[str, str], frozenset[DefId]] = field(default_factory=dict, compare=False, repr=False)
 
 
 def build_cfg(method: MethodIR) -> Cfg:
@@ -145,73 +125,61 @@ def _gen_kill(cfg: Cfg) -> tuple[dict[str, frozenset[DefId]], dict[str, frozense
     return gen, kill
 
 
-def reaching_definitions(cfg: Cfg) -> DefSets:
-    """Solve reaching definitions to the least fixpoint."""
-    gen, kill = _gen_kill(cfg)
-    order = cfg.reverse_postorder()
-    if EXIT not in order:  # every block sits on a cycle; EXIT still needs sets
-        order.append(EXIT)
-    in_: dict[str, frozenset[DefId]] = {b: frozenset() for b in order}
-    out: dict[str, frozenset[DefId]] = {b: frozenset() for b in order}
+def _reaching(cfg: Cfg, var: str, block: str) -> frozenset[DefId]:
+    """Definitions of ``var`` reaching ``block``'s entry, solving OUT on demand."""
+    solved = cfg.solved
+    outs: dict[str, frozenset[DefId]] = {}  # OUT of each block this walk is first to reach
+    post: list[str] = []  # the transparent ones, each after its predecessors
+    stack = [(block, iter(cfg.pred[block]))]
+    while stack:
+        bid, preds = stack[-1]
+        p = next(preds, None)
+        if p is None:
+            stack.pop()
+            if stack:
+                post.append(bid)
+        elif p not in outs and (var, p) not in solved:
+            instrs = cfg.blocks.get(p, ())
+            last = next((i for i in range(len(instrs) - 1, -1, -1) if var in instrs[i].defs), None)
+            if last is None:
+                outs[p] = frozenset()
+                stack.append((p, iter(cfg.pred[p])))
+            else:
+                outs[p] = frozenset({DefId(p, last, var)})
 
-    worklist = deque(b for b in order if b != ENTRY)
-    queued = set(worklist)
-    while worklist:
-        bid = worklist.popleft()
-        queued.discard(bid)
-        new_in = frozenset().union(*(out[p] for p in cfg.pred[bid])) if cfg.pred[bid] else frozenset()
-        new_out = gen[bid] | (new_in - kill[bid])
-        in_[bid] = new_in
-        if new_out != out[bid]:
-            out[bid] = new_out
-            for succ in cfg.succ.get(bid, ()):
-                if succ not in queued:
-                    worklist.append(succ)
-                    queued.add(succ)
+    def out(p: str) -> frozenset[DefId]:
+        return outs[p] if p in outs else solved[var, p]
+
+    changed = True
+    while changed:
+        changed = False
+        for bid in post:
+            new = frozenset().union(*map(out, cfg.pred[bid]))
+            if new != outs[bid]:
+                outs[bid] = new
+                changed = True
+    for bid, defs in outs.items():
+        solved[var, bid] = defs
+    return frozenset().union(*map(out, cfg.pred[block]))
+
+
+def reaching_definitions(cfg: Cfg) -> DefSets:
+    """The whole GEN/KILL/IN/OUT table, IN from one query per defined variable."""
+    gen, kill = _gen_kill(cfg)
+    variables = {d.var for defs in gen.values() for d in defs}
+    nodes = (ENTRY, *cfg.blocks, EXIT)
+    in_ = {b: frozenset().union(*(_reaching(cfg, var, b) for var in variables)) for b in nodes}
+    out = {b: gen[b] | (in_[b] - kill[b]) for b in nodes}
     return DefSets(gen=gen, kill=kill, in_=in_, out=out)
 
 
 def defs_at(cfg: Cfg, block: str, index: int, var: str) -> frozenset[DefId]:
-    """Definitions of ``var`` reaching (block, index): the nearest earlier one in the block, else IN's."""
+    """Definitions of ``var`` reaching (block, index): the nearest earlier one in the block, else its entry's."""
     instrs = cfg.blocks[block]
     for idx in range(index - 1, -1, -1):
         if var in instrs[idx].defs:
             return frozenset({DefId(block, idx, var)})
-    return frozenset(d for d in cfg.sets.in_[block] if d.var == var)
-
-
-def definition_reaches(cfg: Cfg, def_id: DefId, block: str, index: int) -> bool:
-    """Check by explicit path search that ``def_id`` reaches (block, index).
-
-    Independent of the IN/OUT fixpoint: walks CFG paths and fails if every
-    path redefines the variable first.  Used to re-validate witness chains.
-    """
-    var = def_id.var
-
-    def redefined(bid: str, lo: int, hi: int) -> bool:
-        return any(var in instr.defs for instr in cfg.blocks[bid][lo:hi])
-
-    if def_id.block == block and def_id.index < index:
-        if not redefined(block, def_id.index + 1, index):
-            return True
-    # Otherwise the definition must survive to its block's exit, flow along
-    # edges through blocks that never redefine var, and reach block's entry.
-    if redefined(def_id.block, def_id.index + 1, len(cfg.blocks[def_id.block])):
-        return False
-    seen: set[str] = set()
-    stack = list(cfg.succ.get(def_id.block, ()))
-    while stack:
-        bid = stack.pop()
-        if bid in seen or bid == EXIT:
-            continue
-        seen.add(bid)
-        if bid == block:
-            if not redefined(block, 0, index):
-                return True
-            continue
-        if not redefined(bid, 0, len(cfg.blocks[bid])):
-            stack.extend(cfg.succ.get(bid, ()))
-    return False
+    return _reaching(cfg, var, block)
 
 
 @dataclass(frozen=True)
@@ -263,21 +231,6 @@ def extract_intent_calls(component: ComponentDecl, cfg: Cfg) -> list[IntentCall]
     """Resolve every start-call site; an opaque or ambiguous link leaves it unresolved."""
     return [_resolve(component.name, cfg, instr, bid, idx) for bid, instrs in cfg.blocks.items()
             for idx, instr in enumerate(instrs) if instr.op in START_OPS]
-
-
-def witness_supports(cfg: Cfg, call: IntentCall) -> bool:
-    """Re-validate a resolved call's witness chain by independent path search."""
-    if call.target_kind == "unresolved":
-        return not call.witness
-    if not call.witness:
-        return False
-    intent_def = call.witness[0]
-    if not definition_reaches(cfg, intent_def, call.site[0], call.site[1]):
-        return False
-    for operand_def in call.witness[1:]:
-        if not definition_reaches(cfg, operand_def, intent_def.block, intent_def.index):
-            return False
-    return True
 
 
 def cfg_to_json(cfg: Cfg) -> dict:

@@ -2,10 +2,10 @@
 
 Everything here deliberately avoids the library's solver code paths: the
 reaching-definitions oracle re-derives GEN/KILL and iterates chaotically, the
-eager intent resolver replays each block forward from a fixpoint solved up
-front, the per-form instruction parser tries the grammar's forms one at a
-time, the window screen reference ANDs and counts one candidate's mask at a
-time, the decoupling reference rescans the edges once per cluster, and the
+eager intent resolver replays each block forward from that oracle's fixpoint,
+the witness check searches CFG paths for a redefinition, the per-form
+instruction parser tries the grammar's forms one at a time, the window screen
+reference ANDs and counts one candidate's mask at a time, the decoupling reference rescans the edges once per cluster, and the
 similarity oracle enumerates every injective compatible mapping outright.
 """
 
@@ -33,7 +33,7 @@ from monet.app_model import (
     opaque,
 )
 from monet.behavior_graph import AppComponent, BehaviorGraph, IntentAction, SystemComponent
-from monet.dataflow import ENTRY, INTENT_CHAINS, Cfg, DefId, IntentCall, reaching_definitions
+from monet.dataflow import ENTRY, EXIT, INTENT_CHAINS, Cfg, DefId, IntentCall
 from monet.matcher import MASK_WIDTH, _label_bits, exact_threshold
 
 KINDS = ("activity", "service", "receiver", "provider")
@@ -89,11 +89,12 @@ def chaotic_reaching_definitions(cfg: Cfg, rng: random.Random):
 def eager_intent_calls(component: ComponentDecl, cfg: Cfg) -> list[IntentCall]:
     """Every start-call resolved against a fixpoint solved before any query.
 
-    The definitions of a variable reaching a point are IN of its block, replayed
-    forward over the instructions before it.  A call resolves when each link
-    of its ``INTENT_CHAINS`` chain has exactly one definition, by the listed op.
+    The definitions of a variable reaching a point are IN of its block, from
+    :func:`chaotic_reaching_definitions`, replayed forward over the
+    instructions before it.  A call resolves when each link of its
+    ``INTENT_CHAINS`` chain has exactly one definition, by the listed op.
     """
-    in_ = reaching_definitions(cfg).in_
+    in_, _ = chaotic_reaching_definitions(cfg, random.Random(0))
 
     def single(var: str, block: str, index: int):
         live = {d for d in in_[block] if d.var == var}
@@ -122,6 +123,55 @@ def eager_intent_calls(component: ComponentDecl, cfg: Cfg) -> list[IntentCall]:
                                       witness)
             calls.append(call)
     return calls
+
+
+def definition_reaches(cfg: Cfg, def_id: DefId, block: str, index: int) -> bool:
+    """Check by explicit path search that ``def_id`` reaches (block, index).
+
+    Independent of the IN/OUT fixpoint: walks CFG paths and fails if every
+    path redefines the variable first.  Used to re-validate witness chains.
+    """
+    var = def_id.var
+
+    def redefined(bid: str, lo: int, hi: int) -> bool:
+        return any(var in instr.defs for instr in cfg.blocks[bid][lo:hi])
+
+    if def_id.block == block and def_id.index < index:
+        if not redefined(block, def_id.index + 1, index):
+            return True
+    # Otherwise the definition must survive to its block's exit, flow along
+    # edges through blocks that never redefine var, and reach block's entry.
+    if redefined(def_id.block, def_id.index + 1, len(cfg.blocks[def_id.block])):
+        return False
+    seen: set[str] = set()
+    stack = list(cfg.succ.get(def_id.block, ()))
+    while stack:
+        bid = stack.pop()
+        if bid in seen or bid == EXIT:
+            continue
+        seen.add(bid)
+        if bid == block:
+            if not redefined(block, 0, index):
+                return True
+            continue
+        if not redefined(bid, 0, len(cfg.blocks[bid])):
+            stack.extend(cfg.succ.get(bid, ()))
+    return False
+
+
+def witness_supports(cfg: Cfg, call: IntentCall) -> bool:
+    """Re-validate a resolved call's witness chain by independent path search."""
+    if call.target_kind == "unresolved":
+        return not call.witness
+    if not call.witness:
+        return False
+    intent_def = call.witness[0]
+    if not definition_reaches(cfg, intent_def, call.site[0], call.site[1]):
+        return False
+    for operand_def in call.witness[1:]:
+        if not definition_reaches(cfg, operand_def, intent_def.block, intent_def.index):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
+import dataclasses
 import hashlib
+import json
 import random
+from collections import Counter
 
 from monet import dataflow, pipeline
 from monet.app_model import (
@@ -23,13 +26,20 @@ from monet.dataflow import (
     EXIT,
     DefId,
     build_cfg,
+    cfg_to_json,
     defs_at,
+    defsets_to_json,
     extract_intent_calls,
     reaching_definitions,
-    witness_supports,
 )
 
-from oracles import chaotic_reaching_definitions, eager_intent_calls, random_chain_method, random_method
+from oracles import (
+    chaotic_reaching_definitions,
+    eager_intent_calls,
+    random_chain_method,
+    random_method,
+    witness_supports,
+)
 
 COMP = ComponentDecl("com.t.Main", "activity")
 
@@ -254,6 +264,7 @@ def test_defs_at_mid_block():
 # --- pinned extraction outcomes ----------------------------------------------
 
 PINNED_INTENT_CALLS_SHA256 = "29b0fda152c3b8d996c7169c76c54b6527277a939d2c1555328fcd1b5cae0d2f"
+PINNED_DEBUG_DUMP_SHA256 = "fc1241162d94b59da5439699d1e8c9c4301410675a846c4c1ac56fdce9a1ace7"
 
 
 def _pinned_case_methods():
@@ -376,6 +387,21 @@ def test_intent_calls_are_pinned():
     assert digest.hexdigest() == PINNED_INTENT_CALLS_SHA256
 
 
+def test_debug_dump_is_pinned():
+    """The ``--debug-dataflow`` shape, CFG and GEN/KILL/IN/OUT, over the pinned
+    inputs and seeded random methods with loops, stays byte-identical."""
+    rng = random.Random(20261020)
+    methods = [m for _, m in _pinned_intent_inputs()]
+    methods.extend(random_method(rng, max_blocks=12, n_vars=4) for _ in range(60))
+    digest = hashlib.sha256()
+    for method in methods:
+        cfg = build_cfg(method)
+        dump = {"cfg": cfg_to_json(cfg), "defsets": defsets_to_json(reaching_definitions(cfg))}
+        digest.update(json.dumps(dump, sort_keys=True).encode())
+        digest.update(b"\0")
+    assert digest.hexdigest() == PINNED_DEBUG_DUMP_SHA256
+
+
 def test_demand_driven_resolution_equals_eager_resolution():
     """Over the pinned inputs, resolving on demand gives what resolving
     against a fixpoint solved up front gives, and every witness holds."""
@@ -386,24 +412,23 @@ def test_demand_driven_resolution_equals_eager_resolution():
         assert all(witness_supports(cfg, call) for call in calls)
 
 
-# --- the fixpoint on demand ---------------------------------------------------
+# --- queries on demand -------------------------------------------------------
 
 
-def _count_fixpoints(monkeypatch):
-    solved = []
-    solve = dataflow.reaching_definitions
+class _CountingDict(dict):
+    """A ``Cfg.solved`` that counts the writes to each key."""
 
-    def counting(cfg):
-        solved.append(cfg.method)
-        return solve(cfg)
+    def __init__(self):
+        super().__init__()
+        self.writes = Counter()
 
-    monkeypatch.setattr(dataflow, "reaching_definitions", counting)
-    return solved
+    def __setitem__(self, key, value):
+        self.writes[key] += 1
+        super().__setitem__(key, value)
 
 
-def test_chains_inside_their_blocks_solve_no_fixpoint(monkeypatch):
-    solved = _count_fixpoints(monkeypatch)
-    calls, _ = _calls_for(
+def test_chains_inside_their_blocks_solve_no_fixpoint():
+    calls, cfg = _calls_for(
         [
             ("b0", [assign_this("v1"), assign_class("v2", "com.t.B"),
                     new_intent_explicit("i", "v1", "v2"), start_activity("i")]),
@@ -413,21 +438,29 @@ def test_chains_inside_their_blocks_solve_no_fixpoint(monkeypatch):
         [("b0", "b1"), ("b1", "b0")],
     )
     assert [c.target_kind for c in calls] == ["explicit", "implicit", "unresolved"]
-    assert solved == []
+    assert cfg.solved == {}
 
 
-def test_a_chain_leaving_its_block_solves_the_fixpoint_once(monkeypatch):
-    solved = _count_fixpoints(monkeypatch)
-    calls, _ = _calls_for(
-        [
-            ("b0", [assign_this("v1"), assign_class("v2", "com.t.B")]),
-            ("b1", [new_intent_explicit("i", "v1", "v2")]),
-            ("b2", [start_activity("i")]),
-        ],
-        [("b0", "b1"), ("b1", "b2")],
-    )
-    assert [c.target for c in calls] == ["com.t.B"]
-    assert solved == ["m"]
+def test_the_request_path_never_solves_the_whole_table(monkeypatch):
+    tables = []
+    monkeypatch.setattr(dataflow, "reaching_definitions", lambda cfg: tables.append(cfg.method))
+    pkg = AppPackage("com.t", (COMP,), {COMP.name: tuple(_pinned_case_methods())})
+    calls = pipeline.intent_calls(pkg)
+    assert any(c.target_kind != "unresolved" and c.witness[0].block != c.site[0] for c in calls)
+    assert tables == []
+
+
+def test_one_methods_queries_solve_each_out_at_most_once():
+    """Every (variable, block) OUT is written once, however many queries of
+    the method, the dump's included, read it."""
+    solved_some = False
+    for comp, method in _pinned_intent_inputs():
+        cfg = dataclasses.replace(build_cfg(method), solved=_CountingDict())
+        extract_intent_calls(comp, cfg)
+        reaching_definitions(cfg)
+        assert max(cfg.solved.writes.values(), default=0) <= 1
+        solved_some = solved_some or bool(cfg.solved.writes)
+    assert solved_some
 
 
 def test_a_method_without_a_start_call_gets_no_cfg(monkeypatch):

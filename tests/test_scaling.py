@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from monet import matcher
+from monet import matcher, pipeline
 from monet.app_model import (
     AppPackage,
     ComponentDecl,
@@ -96,10 +96,47 @@ def definitions_cfg(n: int):
     return build_cfg(definitions(n))
 
 
+def _chain_method(blocks):
+    return make_method("m", blocks, [(f"b{k}", f"b{k + 1}") for k in range(len(blocks) - 1)])
+
+
+def new_variables(n: int):
+    """n blocks that each define a new variable, then an intent from the first."""
+    blocks = [(f"b{k}", [assign_string(f"s{k}", f"com.x.action.A{k}")]) for k in range(n)]
+    return _chain_method([*blocks, (f"b{n}", [new_intent_action("i", "s0"), start_activity("i")])])
+
+
+def relay(n: int):
+    """n blocks where block k starts the intent defined in block k-1 and defines its own."""
+    return _chain_method([(f"b{k}", [*([start_activity(f"i{k - 1}")] if k else []),
+                                     assign_string(f"s{k}", f"com.x.action.A{k}"),
+                                     new_intent_action(f"i{k}", f"s{k}")]) for k in range(n)])
+
+
+def one_definition(n: int):
+    """One definition, then n blocks that each build and start an intent from it."""
+    return _chain_method([("b0", [assign_string("s", "com.x.action.A")]),
+                          *((f"b{k}", [new_intent_action("i", "s"), start_activity("i")])
+                            for k in range(1, n + 1))])
+
+
+def one_definition_loop(n: int):
+    """``one_definition`` with a back edge from the last block to the first query."""
+    method = one_definition(n)
+    return make_method("m", method.blocks, [*method.edges, (f"b{n}", "b1")])
+
+
+def package(shape):
+    def build(n: int) -> AppPackage:
+        comp = ComponentDecl("com.x.Main", "activity")
+        return AppPackage("com.x", (comp,), {comp.name: (shape(n),)})
+    build.__name__ = shape.__name__
+    return build
+
+
 def package_text(shape):
     def build(n: int) -> str:
-        comp = ComponentDecl("com.x.Main", "activity")
-        return render_package(AppPackage("com.x", (comp,), {comp.name: (shape(n),)}))
+        return render_package(package(shape)(n))
     build.__name__ = f"{shape.__name__}_text"
     return build
 
@@ -151,12 +188,10 @@ CASES = [
     *((parse_package, package_text(shape)) for shape in (successors, block_chain, definitions)),
     (build_cfg, successors),
     (build_cfg, block_chain),
-    # Only the one-block shape.  Two chain shapes are Theta(n^2) today: n blocks
-    # that each define a new variable, whose IN sets alone hold Theta(n^2)
-    # definitions, so no solver that keeps them as sets can read 8 here; and n
-    # blocks where block k starts the intent defined in block k-1 and defines
-    # its own, which a worklist per variable over all blocks makes worse.
+    # Only the one-block shape: on a block chain the debug dump's IN sets are Theta(n^2) by output size.
     (reaching_definitions, definitions_cfg),
+    *((pipeline.intent_calls, package(shape)) for shape in (new_variables, relay, one_definition,
+                                                            one_definition_loop)),
 ]
 
 
