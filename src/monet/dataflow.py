@@ -139,7 +139,7 @@ def _reaching(cfg: Cfg, var: str, block: str) -> frozenset[DefId]:
             if stack:
                 post.append(bid)
         elif p not in outs and (var, p) not in solved:
-            instrs = cfg.blocks.get(p, ())
+            instrs = cfg.blocks.get(p, ())  # ENTRY: no instructions, no predecessors, OUT empty
             last = next((i for i in range(len(instrs) - 1, -1, -1) if var in instrs[i].defs), None)
             if last is None:
                 outs[p] = frozenset()
