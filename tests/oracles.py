@@ -82,7 +82,7 @@ def chaotic_reaching_definitions(cfg: Cfg, rng: random.Random):
 
 
 # ---------------------------------------------------------------------------
-# eager intent resolution
+# eager intent resolution and witness checks
 # ---------------------------------------------------------------------------
 
 
